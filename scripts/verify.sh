@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The repo's verification gate: static lint, tier-1 tests, byte-level
-# determinism, and the benchmark smoke jobs.
+# The repo's verification gate: static lint, tier-1 tests, the stepped
+# oracle, the paper's shape claims, byte-level determinism, and the
+# benchmark smoke jobs.
 #
 #   bash scripts/verify.sh [--jobs N]
 #
@@ -8,9 +9,9 @@
 # BENCH_sim.json, BENCH_engine.json, BENCH_service.json and
 # BENCH_store.json and fail on any A/B regression: differing results,
 # the incremental selector recomputing more profits than the naive one
-# (repro.bench.check_gate), the event engine reducing ECU cascade calls
-# by less than the 5x threshold or the packed engine missing its
-# per-cell wall-clock speedup threshold (repro.bench.check_sim_gate),
+# (repro.bench.check_gate), the packed engine reducing ECU cascade calls
+# by less than the 5x threshold or missing its per-cell wall-clock
+# speedup threshold over the stepped oracle (repro.bench.check_sim_gate),
 # the construction memos cutting builds by less than 3x / the executor
 # backends disagreeing (repro.bench.check_engine_gate), the always-on
 # sweep service failing byte-identity against serial, missing its
@@ -19,10 +20,12 @@
 # >= 1.3x job-throughput factors over plain JSON frames
 # (repro.bench.check_service_gate), or the columnar result store losing
 # byte-identity on the round-trip / missing its peak-memory ratio over
-# in-memory aggregation (repro.bench.check_store_gate).  The
-# packed-engine identity gate also re-runs the A/B/C and golden suites
-# with REPRO_SIM=packed, pinning the byte-identity contract under the
-# env-selected engine.
+# in-memory aggregation (repro.bench.check_store_gate).  The stepped
+# oracle gate re-runs the engine identity and golden suites with
+# REPRO_SIM=stepped, so the process-wide default flips to the reference
+# loop and the byte-identity contract is pinned from the oracle's side.
+# The shape gate runs scripts/validate_shapes.py --fast: every claim
+# EXPERIMENTS.md makes about the paper's figures must PASS.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -55,9 +58,12 @@ echo "repro analyze: ${ANALYZE_ELAPSED}s (budget 30s)"
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
-echo "== packed engine identity gate =="
-REPRO_SIM=packed python -m pytest -q \
+echo "== stepped oracle gate =="
+REPRO_SIM=stepped python -m pytest -q \
     tests/test_sim_packed.py tests/test_golden_trace.py
+
+echo "== paper shape gate =="
+python scripts/validate_shapes.py --fast
 
 echo "== determinism gate =="
 python scripts/check_determinism.py --jobs "$JOBS" --workers 2 \

@@ -18,8 +18,8 @@ commits, pin releases and contention all happen at block boundaries).
 :meth:`ExecutionControlUnit.execute_run` exploits this: it returns the
 decision *plus* the absolute cycle at which it could change (the horizon),
 and caches the regime per kernel, tagged with
-:attr:`repro.fabric.resources.ResourceState.version`, so the event-driven
-simulator fast-forwards whole runs of executions with a single cascade
+:attr:`repro.fabric.resources.ResourceState.version`, so the packed
+simulator engine fast-forwards whole runs of executions with a single cascade
 evaluation (see docs/simulator.md for the equivalence argument).
 """
 
@@ -77,8 +77,10 @@ class ExecutionRun:
     event_crossed: bool = False
 
 
-class _Regime:
-    """One kernel's cached piecewise-constant execution regime."""
+class Regime:
+    """One kernel's cached piecewise-constant execution regime: every
+    execution starting before ``horizon`` while the fabric is still at
+    ``version`` is served like ``decision`` and touches ``touch_impls``."""
 
     __slots__ = ("decision", "horizon", "version", "touch_impls")
 
@@ -123,7 +125,7 @@ class ExecutionControlUnit:
         #: ordered so releases stay deterministic.
         self._monocg_pinned: Dict[str, None] = {}
         #: per-kernel cached execution regimes (event-driven fast path).
-        self._regimes: Dict[str, _Regime] = {}
+        self._regimes: Dict[str, Regime] = {}
 
     # ----------------------------------------------------------- control
     def set_selection(self, selection: Mapping[str, Optional[ISE]]) -> None:
@@ -141,24 +143,18 @@ class ExecutionControlUnit:
         return self._selection.get(kernel_name)
 
     @property
-    def regimes(self) -> Dict[str, _Regime]:
+    def regimes(self) -> Dict[str, Regime]:
         """The per-kernel regime cache (read-only view).
 
         The packed engine
         (:meth:`repro.sim.simulator.Simulator._run_kernels_packed`)
         transcribes the :meth:`execute_run` cache-hit path inline over this
-        mapping; everyone else should go through :meth:`execute_run`."""
+        mapping, deferring the LRU touches (``touch`` keeps the maximum
+        timestamp and ``last_used`` is only read at configuration points,
+        so flushing them before the next cascade evaluation leaves the
+        fabric byte-identical); everyone else should go through
+        :meth:`execute_run`."""
         return self._regimes
-
-    def apply_touches(self, impl_names: Tuple[str, ...], now: int) -> None:
-        """Apply the LRU ``touch`` bookkeeping of one (batched) execution.
-
-        Public counterpart of the internal touch helper for engines that
-        *defer* touches: ``touch`` keeps the maximum timestamp and
-        ``last_used`` is only read at configuration points, so flushing a
-        deferred touch before the next cascade evaluation leaves the fabric
-        state byte-identical to applying it eagerly (docs/simulator.md)."""
-        self._apply_touches(impl_names, now)
 
     def release_monocg_pins(self) -> None:
         """Unpin every monoCG-Extension this ECU configured (called at
@@ -227,7 +223,7 @@ class ExecutionControlUnit:
                 event_crossed=event_crossed,
             )
 
-        regime = _Regime(
+        regime = Regime(
             decision=decision,
             horizon=self._regime_horizon(kernel_name, ise, raw_level, now),
             version=resources.version,
@@ -238,7 +234,7 @@ class ExecutionControlUnit:
 
     def _batched(
         self,
-        regime: _Regime,
+        regime: Regime,
         now: int,
         max_executions: int,
         gap: int,
@@ -444,4 +440,5 @@ __all__ = [
     "ExecutionDecision",
     "ExecutionMode",
     "ExecutionRun",
+    "Regime",
 ]

@@ -18,25 +18,24 @@ break the byte-identity contract of the golden payloads):
     that reuses one library across budgets packs once.
 
 :class:`PackedProgram`
-    One packing per :class:`~repro.sim.program.Application`: the profiled
-    trigger instructions per block and, per block iteration, the
-    run-length-encoded ``(kernel, gap, length)`` step groups of the
-    deterministic interleaving together with prefix-sum arrays (gap cycles
-    and per-kernel execution counts) that let the packed engine collapse a
-    whole iteration suffix into O(kernels) arithmetic once every remaining
-    kernel sits in a valid infinite-horizon regime.
+    One packing per :class:`~repro.sim.program.Application`: per block
+    iteration, the run-length-encoded ``(kernel, gap, length)`` step
+    groups of the deterministic interleaving together with prefix-sum
+    arrays (gap cycles and per-kernel execution counts) that let the packed
+    engine collapse a whole iteration suffix into O(kernels) arithmetic
+    once every remaining kernel sits in a valid infinite-horizon regime.
 
 **When packing is skipped.**  Packing covers only what is provably static:
-candidate structure (fixed at library build), and the interleaving/profiled
-triggers (fixed at application build).  Everything dynamic -- fabric state,
-coverage, reservations, regimes -- stays in the per-call working arrays of
-the packed selector / the ECU's regime cache; there is nothing to pack for
-policies without an ECU, which simply never hit the packed fast path.
+candidate structure (fixed at library build) and the interleaving (fixed
+at application build).  Everything dynamic -- fabric state, coverage,
+reservations, regimes -- stays in the per-call working arrays of the packed
+selector / the policy's regime cache; policies that publish no regimes
+simply never hit the packed fast path.
 
 The consumers are :meth:`repro.core.selector.ISESelector._select_packed`
 and :meth:`repro.sim.simulator.Simulator._run_kernels_packed`; both are
 locked to their object-model twins by the ``dual-impl-signature`` lint
-invariant, the hypothesis A/B/C identity suites and the golden traces (see
+invariant, the hypothesis identity suites and the golden traces (see
 ``docs/simulator.md`` for the equivalence argument).
 """
 
@@ -252,9 +251,8 @@ class PackedIteration:
     """RLE step groups and prefix sums of one block iteration.
 
     ``runs[j] = (kernel, gap, length)`` -- maximal groups of identical
-    ``(kernel, gap)`` steps of the deterministic interleaving, exactly the
-    grouping the event engine recomputes per iteration.  The prefix arrays
-    support the packed engine's bulk suffix skip::
+    ``(kernel, gap)`` steps of the deterministic interleaving.  The prefix
+    arrays support the packed engine's bulk suffix skip::
 
         gap_suffix[j]          sum of length*gap over runs[j:]
         cnt_prefix[k][j]       executions of kernel k in runs[:j]
@@ -309,21 +307,16 @@ class PackedIteration:
 
 
 class PackedProgram:
-    """Per-application packing: profiled triggers plus packed iterations.
+    """Per-application packing: one :class:`PackedIteration` per block
+    iteration.
 
     ``iterations[i]`` packs ``application.iterations[i]``; the simulator
-    zips the two sequences.  Profiled triggers are a pure function of the
-    application (they model numbers burnt into the binary at compile time),
-    so caching them across runs cannot change any payload.
+    zips the two sequences.
     """
 
-    __slots__ = ("profiled", "iterations")
+    __slots__ = ("iterations",)
 
     def __init__(self, application: Application):
-        self.profiled = {
-            block.name: application.profiled_triggers(block.name)
-            for block in application.blocks
-        }
         self.iterations: List[PackedIteration] = [
             PackedIteration(iteration) for iteration in application.iterations
         ]

@@ -30,7 +30,10 @@ Three implementations produce byte-identical results (``docs/selector.md``):
   requirements flattened into parallel arrays at library-build time, and
   the per-call working state (coverage, ready times, reservations, cache
   validity) held in flat arrays indexed by those ids.  Same rounds, same
-  logical counters, same tie-breaks -- only the data layout differs.
+  logical counters, same tie-breaks -- only the data layout differs.  A
+  subclass overriding the profit arithmetic (:meth:`ISESelector._profit_of`)
+  keeps its override on every path; the packed one hands it name-keyed
+  views of its working arrays.
 
 Pick the implementation with the ``REPRO_SELECTOR`` environment variable
 (``naive`` | ``incremental`` | ``packed``) or the ``mode`` constructor
@@ -227,6 +230,30 @@ class SelectionResult:
     def selection_order(self) -> List[str]:
         """Kernels in the order their ISEs were selected (greedy order)."""
         return list(self.selected)
+
+
+class _ImplView:
+    """Read-only ``get`` over a per-implementation array.
+
+    The packed selector's stand-in for the ``coverage`` /
+    ``existing_ready`` dicts an overridden :meth:`ISESelector._profit_of`
+    passes to :func:`predict_recT`: ``get`` answers exactly as the
+    object-model dict would for every candidate instance row (``present``
+    models dict presence where a zero value is not a missing key).
+    """
+
+    __slots__ = ("_ids", "_values", "_present")
+
+    def __init__(self, ids: Mapping[str, int], values, present=None):
+        self._ids = ids
+        self._values = values
+        self._present = present
+
+    def get(self, name: str, default=None):
+        impl = self._ids.get(name)
+        if impl is None or (self._present is not None and not self._present[impl]):
+            return default
+        return self._values[impl]
 
 
 class _CandidateEntry:
@@ -650,6 +677,12 @@ class ISESelector:
         visits each member of the ``ises_sharing`` set once, but the
         validity flag is cleared on the first visit, so ``invalidations``
         counts identically.
+
+        A subclass overriding :meth:`_profit_of` (the RISPP baseline's
+        quantised cost function) gets that hook called with
+        :class:`_ImplView` views of ``coverage`` and the ready times in
+        place of the inline ``predict_recT`` + ``profit_value``
+        transcription, so every mode honours the override.
         """
         result = SelectionResult(mode="packed")
         packed = self._packed
@@ -708,6 +741,13 @@ class ISESelector:
                 ready_val[impl] = ready
         free_fg = free[FabricType.FG]
         free_cg = free[FabricType.CG]
+        profit_hook = (
+            self._profit_of
+            if type(self)._profit_of is not ISESelector._profit_of
+            else None
+        )
+        coverage_view = _ImplView(impl_ids, coverage)
+        ready_view = _ImplView(impl_ids, ready_val, ready_has)
 
         n_cands = packed.n_candidates
         alive = bytearray(n_cands)
@@ -769,35 +809,47 @@ class ISESelector:
                         elif bound + bound * BOUND_PRUNE_SLACK < best_profit:
                             result.evaluations_pruned += 1
                             continue
-                        # predict_recT over the packed rows, with the fold
-                        # into the non-decreasing schedule fused in (the
-                        # per-row ready values never depend on it).
-                        port = max(now_f, fg_port_free_at)
-                        schedule: List[float] = []
-                        completed = 0.0
-                        for r in range(start, stop):
-                            impl = row_impl[r]
-                            quantity = row_qty[r]
-                            covered_qty = min(coverage[impl], quantity)
-                            missing = quantity - covered_qty
-                            ready = now_f
-                            if covered_qty > 0 and ready_has[impl]:
-                                ready = max(ready, ready_val[impl])
-                            if missing > 0:
-                                if row_fg[r]:
-                                    port += row_reconfig[r] * missing
-                                    ready = max(ready, port)
-                                else:
-                                    ready = max(ready, now + row_reconfig[r])
-                            completed = max(completed, ready - now)
-                            schedule.append(completed)
-                        profit_arr[cid] = profit_value(
-                            cand_latencies[cid],
-                            schedule,
-                            executions,
-                            trig.time_to_first,
-                            trig.time_between,
-                        )
+                        if profit_hook is not None:
+                            profit_arr[cid], schedule, port = profit_hook(
+                                cand_ise[cid],
+                                trig,
+                                coverage_view,
+                                ready_view,
+                                now,
+                                fg_port_free_at,
+                            )
+                        else:
+                            # predict_recT over the packed rows, with the
+                            # fold into the non-decreasing schedule fused in
+                            # (the per-row ready values never depend on it).
+                            port = max(now_f, fg_port_free_at)
+                            schedule = []
+                            completed = 0.0
+                            for r in range(start, stop):
+                                impl = row_impl[r]
+                                quantity = row_qty[r]
+                                covered_qty = min(coverage[impl], quantity)
+                                missing = quantity - covered_qty
+                                ready = now_f
+                                if covered_qty > 0 and ready_has[impl]:
+                                    ready = max(ready, ready_val[impl])
+                                if missing > 0:
+                                    if row_fg[r]:
+                                        port += row_reconfig[r] * missing
+                                        ready = max(ready, port)
+                                    else:
+                                        ready = max(
+                                            ready, now + row_reconfig[r]
+                                        )
+                                completed = max(completed, ready - now)
+                                schedule.append(completed)
+                            profit_arr[cid] = profit_value(
+                                cand_latencies[cid],
+                                schedule,
+                                executions,
+                                trig.time_to_first,
+                                trig.time_between,
+                            )
                         schedule_arr[cid] = schedule
                         port_after_arr[cid] = port
                         sensitive = 0

@@ -440,6 +440,7 @@ def library_fingerprint(
     budget: Tuple[int, int],
     workload_params: Params = None,
     budget_params: Params = None,
+    retain_library: bool = True,
 ) -> str:
     """Structural hash of the compile-time ISE library a cell will see.
 
@@ -448,18 +449,19 @@ def library_fingerprint(
     paths invalidate cached records without a manual version bump.
     ``budget_params`` matter because the fitting filter depends on the
     budget (e.g. ``contexts_per_cg_fabric``).
+
+    The library comes from the same per-process memo the cells execute
+    against, so keying a cell and then executing it compiles its library
+    once.  A process that keys cells but never executes them (the sweep
+    service daemon) passes ``retain_library=False``: a memoised library is
+    still reused, but a freshly compiled one is dropped after hashing.
     """
     params = _normalize_params(workload_params)
     extra_budget = _normalize_params(budget_params)
     memo_key = (workload, params, tuple(budget), extra_budget)
     if memo_key in _FINGERPRINTS:
         return _FINGERPRINTS[memo_key]
-    family = WORKLOADS[workload]
-    cg, prc = budget
-    resource_budget = ResourceBudget(
-        n_prcs=prc, n_cg_fabrics=cg, **dict(extra_budget)
-    )
-    library = family.library(resource_budget, dict(params))
+    library = _library(workload, budget, params, extra_budget, retain_library)
     description: List[object] = []
     for kernel_name in sorted(library.kernel_names()):
         kernel = library.kernel(kernel_name)
@@ -483,14 +485,16 @@ def library_fingerprint(
     return fingerprint
 
 
-def cell_key(cell: SweepCell) -> str:
-    """Content address of ``cell``: cell description + library fingerprint."""
+def cell_key(cell: SweepCell, retain_library: bool = True) -> str:
+    """Content address of ``cell``: cell description + library fingerprint
+    (``retain_library`` as in :func:`library_fingerprint`)."""
     return _stable_hash(
         {
             "schema": ENGINE_SCHEMA,
             "cell": cell.payload(),
             "library": library_fingerprint(
-                cell.workload, cell.budget, cell.workload_params, cell.budget_params
+                cell.workload, cell.budget, cell.workload_params,
+                cell.budget_params, retain_library,
             ),
         }
     )
@@ -786,15 +790,34 @@ def _application_of(cell: SweepCell):
     )
 
 
-def _library_of(cell: SweepCell, budget: ResourceBudget):
-    """The cell's compiled ISE library, memoised per (workload, budget,
-    params) -- reuse keeps the precompiled ``instance_rows`` /
-    ``footprint_index`` structures warm across cells."""
-    family = WORKLOADS[cell.workload]
+def _library(
+    workload: str,
+    budget: Tuple[int, int],
+    workload_params: Tuple,
+    budget_params: Tuple,
+    retain: bool = True,
+):
+    """The compiled ISE library of one (workload, budget, params) point,
+    memoised per process -- reuse keeps the precompiled ``instance_rows``
+    / ``footprint_index`` structures warm across cells.  The one
+    construction path of both :func:`execute_cell` and
+    :func:`library_fingerprint`; ``retain=False`` reuses a memoised
+    library but never adds one (see :func:`library_fingerprint`)."""
+    key = (workload, tuple(budget), workload_params, budget_params)
+
+    def build():
+        cg, prc = budget
+        return WORKLOADS[workload].library(
+            ResourceBudget(n_prcs=prc, n_cg_fabrics=cg, **dict(budget_params)),
+            dict(workload_params),
+        )
+
+    if not retain and key not in _LIB_MEMO:
+        return build()
     return _memo_get(
         _LIB_MEMO,
-        (cell.workload, cell.budget, cell.workload_params, cell.budget_params),
-        lambda: family.library(budget, dict(cell.workload_params)),
+        key,
+        build,
         "libraries_built",
         "libraries_saved",
         LIBRARY_MEMO_CAPACITY,
@@ -813,7 +836,9 @@ def execute_cell(cell: SweepCell) -> Dict[str, object]:
     global SIMULATIONS_RUN
     budget = cell.resource_budget()
     application = _application_of(cell)
-    library = _library_of(cell, budget)
+    library = _library(
+        cell.workload, cell.budget, cell.workload_params, cell.budget_params
+    )
     policy = POLICIES[cell.policy](**dict(cell.policy_params))
     needs_trace = any(METRICS[name].needs_trace for name, _ in cell.metrics)
     result = Simulator(
@@ -1053,7 +1078,7 @@ class SweepEngine:
         """
         self.stats.reset()
         self.stats.cells = len(cells)
-        keys = [cell_key(cell) for cell in cells]
+        keys = self._keys(cells)
         by_key: Dict[str, SweepCell] = {}
         for cell, key in zip(cells, keys):
             by_key.setdefault(key, cell)
@@ -1107,7 +1132,7 @@ class SweepEngine:
         """
         self.stats.reset()
         self.stats.cells = len(cells)
-        keys = [cell_key(cell) for cell in cells]
+        keys = self._keys(cells)
         by_key: Dict[str, SweepCell] = {}
         indices: Dict[str, List[int]] = {}
         for index, (cell, key) in enumerate(zip(cells, keys)):
@@ -1154,6 +1179,15 @@ class SweepEngine:
         if self.use_cache and self.cache_max_bytes is not None:
             evict_cache(self.cache_dir, self.cache_max_bytes)
         return delivered[0]
+
+    def _keys(self, cells: Sequence[SweepCell]) -> List[str]:
+        """The cache keys of ``cells``.  Fingerprinting compiles each new
+        library into the memo the executing cells then reuse, so those
+        compilations count as this run's library builds."""
+        before = BUILD_COUNTERS["libraries_built"]
+        keys = [cell_key(cell) for cell in cells]
+        self.stats.libraries_built += BUILD_COUNTERS["libraries_built"] - before
+        return keys
 
     def _execute_missing(
         self,

@@ -450,7 +450,11 @@ class SweepService:
             entry = memo.get(token)
             if entry is None:
                 cell = engine_module.SweepCell.from_payload(payload)
-                entry = memo[token] = (cell, engine_module.cell_key(cell))
+                # The daemon never executes cells: key them without
+                # retaining the compiled libraries.
+                entry = memo[token] = (
+                    cell, engine_module.cell_key(cell, retain_library=False)
+                )
             cells.append(entry[0])
             keys.append(entry[1])
         hits: Dict[str, Dict[str, object]] = {}
@@ -542,6 +546,7 @@ class SweepService:
                 fingerprint = engine_module.library_fingerprint(
                     first.workload, first.budget,
                     first.workload_params, first.budget_params,
+                    retain_library=False,
                 )
                 self._fingerprints.add(fingerprint)
                 batch_keys = [miss_keys[i] for i in batch]

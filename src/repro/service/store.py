@@ -142,7 +142,8 @@ class RecordStore:
         """
         cell = engine_module.SweepCell.from_payload(cell_payload)
         fingerprint = engine_module.library_fingerprint(
-            cell.workload, cell.budget, cell.workload_params, cell.budget_params
+            cell.workload, cell.budget, cell.workload_params,
+            cell.budget_params, retain_library=False,
         )
         if namespace != fingerprint:
             raise ReproError(
@@ -150,7 +151,7 @@ class RecordStore:
                 f"{str(namespace)[:12]}..., this host derives "
                 f"{fingerprint[:12]}... -- workload code has diverged"
             )
-        expected = engine_module.cell_key(cell)
+        expected = engine_module.cell_key(cell, retain_library=False)
         if key != expected:
             raise ReproError(
                 f"cache_put key mismatch: peer sent {str(key)[:12]}..., "

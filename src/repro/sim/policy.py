@@ -19,7 +19,7 @@ from repro.ise.library import ISELibrary
 from repro.sim.trigger import TriggerInstruction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.core.ecu import ExecutionDecision, ExecutionRun
+    from repro.core.ecu import ExecutionDecision, ExecutionRun, Regime
     from repro.sim.program import Application
 
 
@@ -87,7 +87,7 @@ class RuntimePolicy(abc.ABC):
         Policies steering through an :class:`ExecutionControlUnit` (an
         ``ecu`` attribute) inherit its horizon-aware fast-forwarding; any
         other policy falls back to one :meth:`execute` per call, which
-        makes the event engine behave exactly like the stepped loop.
+        makes the packed engine behave exactly like the stepped loop.
         """
         from repro.core.ecu import ExecutionRun
 
@@ -98,6 +98,19 @@ class RuntimePolicy(abc.ABC):
         return ExecutionRun(
             decision=decision, count=1, horizon=float(now + 1)
         )
+
+    @property
+    def regimes(self) -> Optional[Mapping[str, "Regime"]]:
+        """Per-kernel cached execution regimes, or ``None``.
+
+        The packed engine serves a run from ``regimes[kernel]`` without a
+        policy call while the regime's ``version`` matches the fabric's and
+        the run starts before its ``horizon``; everything else goes through
+        :meth:`execute_run`.  Policies steering through an ECU publish its
+        cache; a policy with a time-invariant verdict may publish
+        infinite-horizon regimes of its own."""
+        ecu = getattr(self, "ecu", None)
+        return None if ecu is None else ecu.regimes
 
     def on_block_exit(
         self,

@@ -133,6 +133,8 @@ class Application:
             for kit in iteration.kernels:
                 block.kernel(kit.kernel)  # raises KeyError if foreign
         self.iterations: Tuple[BlockIteration, ...] = tuple(iterations)
+        #: block name -> profiled triggers (see :meth:`profiled_triggers`).
+        self._profiled: Dict[str, Tuple[TriggerInstruction, ...]] = {}
 
     # ------------------------------------------------------------ access
     @property
@@ -159,7 +161,19 @@ class Application:
         each kernel's executions, time to first execution and inter-execution
         time across the block's iterations -- these are the numbers the
         programmer embeds into the binary (Section 4).
+
+        A pure function of the immutable application, so it is computed
+        once per block; every call returns a fresh list, so a caller
+        mutating its copy cannot change what later callers see.
         """
+        profiled = self._profiled.get(block_name)
+        if profiled is None:
+            profiled = self._profiled[block_name] = tuple(
+                self._profile(block_name)
+            )
+        return list(profiled)
+
+    def _profile(self, block_name: str) -> List[TriggerInstruction]:
         block = self._blocks[block_name]
         iterations = self.iterations_of(block_name)
         if not iterations:

@@ -10,27 +10,26 @@ The simulator is deliberately policy-agnostic -- mRTS, the RISPP-like,
 Morpheus/4S-like, offline-optimal and online-optimal systems all run through
 the exact same loop, so the comparisons of Figs. 8-10 are apples-to-apples.
 
-Three interchangeable execution engines drive the kernel loop:
+Two interchangeable execution engines drive the kernel loop:
 
-* ``stepped`` -- the reference implementation: one
+* ``stepped`` -- the reference oracle: one
   :meth:`~repro.sim.policy.RuntimePolicy.execute` call per kernel
   execution.
-* ``event`` (default) -- event-driven fast-forwarding: between
-  availability events the ECU cascade's verdict is piecewise-constant, so
-  runs of identical executions are advanced with O(1) arithmetic through
-  :meth:`~repro.sim.policy.RuntimePolicy.execute_run` (see
-  docs/simulator.md for the equivalence argument).
-* ``packed`` -- the event loop over precompiled structure-of-arrays
-  buffers (:mod:`repro.core.packed`): run-length-encoded kernel
-  interleavings with prefix-sum arrays, the ECU regime cache-hit path
-  transcribed inline (LRU touches deferred), and steady-state iteration
-  suffixes folded in one pass of index arithmetic.  The selector switches
-  to its packed candidate arrays through the policy's ``enable_packed``
-  hook.
+* ``packed`` (default) -- event-driven fast-forwarding over precompiled
+  structure-of-arrays buffers (:mod:`repro.core.packed`).  Between
+  availability events a policy's verdict is piecewise-constant, so runs of
+  identical executions advance with O(1) arithmetic: regime cache hits
+  (:attr:`~repro.sim.policy.RuntimePolicy.regimes`) are served inline with
+  LRU touches deferred, misses go through
+  :meth:`~repro.sim.policy.RuntimePolicy.execute_run`, and steady-state
+  iteration suffixes fold in one pass of prefix-sum arithmetic.  The
+  selector switches to its packed candidate arrays through the policy's
+  ``enable_packed`` hook.
 
-All engines produce byte-identical statistics and traces; pick one
-explicitly via ``Simulator(engine=...)`` or globally via the ``REPRO_SIM``
-environment variable (mirroring the ``REPRO_SELECTOR`` A/B pattern).
+Both engines produce byte-identical statistics and traces (see
+docs/simulator.md for the equivalence argument); pick one explicitly via
+``Simulator(engine=...)`` or globally via the ``REPRO_SIM`` environment
+variable (mirroring the ``REPRO_SELECTOR`` A/B pattern).
 """
 
 from __future__ import annotations
@@ -58,12 +57,12 @@ from repro.sim.trace import (
 from repro.config_env import ENGINE_MODE_ENV
 
 #: Valid engine implementations.
-ENGINE_MODES = ("stepped", "event", "packed")
+ENGINE_MODES = ("stepped", "packed")
 
 
 def resolve_engine_mode(mode: Optional[str] = None) -> str:
     """The engine to use: the explicit ``mode`` if given, else
-    ``$REPRO_SIM``, else ``event``."""
+    ``$REPRO_SIM``, else ``packed``."""
     from repro.config_env import sim_engine_mode
 
     return sim_engine_mode(mode)
@@ -102,9 +101,9 @@ class Simulator:
         claiming/releasing fabric at run time (the paper's run-time
         variation (b)).  Events are applied at functional-block boundaries.
 
-        ``engine`` picks the execution engine (``"stepped"`` | ``"event"``
-        | ``"packed"``); ``None`` defers to ``$REPRO_SIM`` and finally to
-        ``event``.
+        ``engine`` picks the execution engine (``"stepped"`` |
+        ``"packed"``); ``None`` defers to ``$REPRO_SIM`` and finally to
+        ``packed``.
         """
         self.application = application
         self.library = library
@@ -125,15 +124,18 @@ class Simulator:
 
         stats = SimulationStats()
         trace = SimulationTrace() if self.collect_trace else None
-        # Profiled triggers are computed once per block: they are burnt into
-        # the binary at compile time and never change.
+        # Profiled triggers are burnt into the binary at compile time: one
+        # (memoised) list per block for the whole run.
+        profiled = {
+            block.name: self.application.profiled_triggers(block.name)
+            for block in self.application.blocks
+        }
         if engine == "packed":
             # Imported lazily: repro.core.packed pulls in repro.sim.program,
             # whose package __init__ imports this module.
             from repro.core.packed import pack_program
 
             program = pack_program(self.application)
-            profiled = program.profiled
             self._packed_iterations = {
                 id(iteration): packed_iteration
                 for iteration, packed_iteration in zip(
@@ -145,15 +147,7 @@ class Simulator:
             if enable_packed is not None:
                 enable_packed()
         else:
-            profiled = {
-                block.name: self.application.profiled_triggers(block.name)
-                for block in self.application.blocks
-            }
-            run_kernels = (
-                self._run_kernels_event
-                if engine == "event"
-                else self._run_kernels_stepped
-            )
+            run_kernels = self._run_kernels_stepped
 
         t = 0
         for iteration in self.application.iterations:
@@ -254,71 +248,6 @@ class Simulator:
             last[kernel_name] = t
         return t
 
-    def _run_kernels_event(
-        self,
-        iteration,
-        t: int,
-        stats: SimulationStats,
-        trace: Optional[SimulationTrace],
-        first: Dict[str, int],
-        last: Dict[str, int],
-        counts: Dict[str, int],
-        latency_sums: Dict[str, int],
-    ) -> int:
-        """Event-driven fast-forwarding: maximal runs of back-to-back
-        executions of one kernel are advanced in O(1) per regime instead of
-        O(1) per execution.  The policy's :meth:`execute_run` bounds each
-        batch by the next availability event, so the resulting statistics
-        and (expanded) trace are byte-identical to the stepped loop."""
-        steps = interleave(iteration.kernels)
-        n_steps = len(steps)
-        index = 0
-        while index < n_steps:
-            kernel_name, gap = steps[index]
-            stop = index + 1
-            while stop < n_steps and steps[stop] == (kernel_name, gap):
-                stop += 1
-            remaining = stop - index
-            index = stop
-            while remaining > 0:
-                start = t + gap
-                run = self.policy.execute_run(kernel_name, start, remaining, gap)
-                decision = run.decision
-                count = run.count
-                period = gap + decision.latency
-                if run.cascade_called:
-                    stats.ecu_calls += 1
-                    stats.executions_fastforwarded += count - 1
-                else:
-                    stats.executions_fastforwarded += count
-                if run.event_crossed:
-                    stats.events_processed += 1
-                stats.gap_cycles += count * gap
-                first.setdefault(kernel_name, start)
-                counts[kernel_name] = counts.get(kernel_name, 0) + count
-                latency_sums[kernel_name] = (
-                    latency_sums.get(kernel_name, 0) + count * decision.latency
-                )
-                stats.record_execution_run(decision.mode, decision.latency, count)
-                if trace is not None:
-                    trace.record_execution_run(
-                        ExecutionRunRecord(
-                            time=start,
-                            block=iteration.block,
-                            kernel=kernel_name,
-                            mode=decision.mode,
-                            latency=decision.latency,
-                            level=decision.level,
-                            ise_name=decision.ise_name,
-                            count=count,
-                            period=period,
-                        )
-                    )
-                t = start + (count - 1) * period + decision.latency
-                last[kernel_name] = t
-                remaining -= count
-        return t
-
     def _run_kernels_packed(
         self,
         iteration,
@@ -330,20 +259,24 @@ class Simulator:
         counts: Dict[str, int],
         latency_sums: Dict[str, int],
     ) -> int:
-        """The event loop over precompiled structure-of-arrays buffers.
+        """Event-driven fast-forwarding over precompiled structure-of-arrays
+        buffers.
 
-        Byte-identical to :meth:`_run_kernels_event` by construction (see
+        Byte-identical to :meth:`_run_kernels_stepped` (see
         docs/simulator.md for the full argument):
 
-        * the regime cache-hit branch is a line-for-line transcription of
+        * a run starts with one policy verdict that holds until the next
+          availability event; the run's executions are advanced with O(1)
+          arithmetic;
+        * regime cache hits (:attr:`RuntimePolicy.regimes`) are a
+          line-for-line transcription of
           :meth:`repro.core.ecu.ExecutionControlUnit.execute_run`'s hit
           path (``_batched`` + ``_executions_until``), with the LRU touch
           deferred -- ``touch`` keeps the maximum timestamp and
           ``last_used`` is only read at configuration points, all of which
           flush the deferred touches first;
-        * misses delegate to the very same ``policy.execute_run`` the event
-          engine calls (policies without an ECU regime cache therefore take
-          this path for every run, reproducing the event engine exactly);
+        * misses, and every run of a policy without regimes, go through
+          ``policy.execute_run``;
         * the bulk suffix fold only fires when tracing is off and every
           kernel still owed executions sits in a version-valid regime with
           an infinite horizon and has already executed this block -- i.e.
@@ -353,9 +286,8 @@ class Simulator:
         assert self._packed_iterations is not None
         packed = self._packed_iterations[id(iteration)]
         policy = self.policy
-        ecu = getattr(policy, "ecu", None)
-        regimes = getattr(ecu, "regimes", None)
-        resources = ecu.controller.resources if regimes is not None else None
+        regimes = policy.regimes
+        resources = policy.controller.resources
         inf = float("inf")
         block = iteration.block
 
@@ -449,7 +381,7 @@ class Simulator:
                     and regime.version == resources.version
                     and start < regime.horizon
                 ):
-                    # Transcribed ECU cache hit (touch deferred).
+                    # Transcribed regime cache hit (touch deferred).
                     decision = regime.decision
                     latency = decision.latency
                     horizon = regime.horizon
@@ -464,49 +396,20 @@ class Simulator:
                             count = max(
                                 1, min(remaining, (span + period - 1) // period)
                             )
-                    run_end = start + (count - 1) * period
-                    pending_touch[kernel_name] = (regime.touch_impls, run_end)
+                    pending_touch[kernel_name] = (
+                        regime.touch_impls, start + (count - 1) * period
+                    )
                     fastforwarded += count
-                    gap_cycles += count * gap
                     if kernel_name not in first:
-                        first[kernel_name] = start
                         # A kernel's first execution this block may complete
                         # the bulk fold's preconditions: retry at the next
                         # group boundary.
                         try_bulk = bulk_ok
-                    counts[kernel_name] = counts.get(kernel_name, 0) + count
-                    latency_sums[kernel_name] = (
-                        latency_sums.get(kernel_name, 0) + count * latency
-                    )
-                    key = decision.mode.value
-                    exec_by_mode[key] = exec_by_mode.get(key, 0) + count
-                    cycles_by_mode[key] = (
-                        cycles_by_mode.get(key, 0) + count * latency
-                    )
-                    kernel_cycles += count * latency
-                    if trace is not None:
-                        trace.record_execution_run(
-                            ExecutionRunRecord(
-                                time=start,
-                                block=block,
-                                kernel=kernel_name,
-                                mode=decision.mode,
-                                latency=latency,
-                                level=decision.level,
-                                ise_name=decision.ise_name,
-                                count=count,
-                                period=period,
-                            )
-                        )
-                    t = run_end + latency
-                    last[kernel_name] = t
-                    remaining -= count
                 else:
-                    # Cache miss: flush deferred touches (the cascade may
-                    # configure and evict by last_used), then take the very
-                    # call the event engine makes.
+                    # Miss: flush deferred touches (the cascade may
+                    # configure and evict by last_used), then ask the policy.
                     if pending_touch:
-                        self._flush_touches(ecu, pending_touch)
+                        self._flush_touches(resources, pending_touch)
                     run = policy.execute_run(kernel_name, start, remaining, gap)
                     decision = run.decision
                     latency = decision.latency
@@ -519,41 +422,39 @@ class Simulator:
                         fastforwarded += count
                     if run.event_crossed:
                         events += 1
-                    gap_cycles += count * gap
-                    if kernel_name not in first:
-                        first[kernel_name] = start
-                    counts[kernel_name] = counts.get(kernel_name, 0) + count
-                    latency_sums[kernel_name] = (
-                        latency_sums.get(kernel_name, 0) + count * latency
-                    )
-                    key = decision.mode.value
-                    exec_by_mode[key] = exec_by_mode.get(key, 0) + count
-                    cycles_by_mode[key] = (
-                        cycles_by_mode.get(key, 0) + count * latency
-                    )
-                    kernel_cycles += count * latency
-                    if trace is not None:
-                        trace.record_execution_run(
-                            ExecutionRunRecord(
-                                time=start,
-                                block=block,
-                                kernel=kernel_name,
-                                mode=decision.mode,
-                                latency=latency,
-                                level=decision.level,
-                                ise_name=decision.ise_name,
-                                count=count,
-                                period=period,
-                            )
-                        )
-                    t = start + (count - 1) * period + latency
-                    last[kernel_name] = t
-                    remaining -= count
                     # The miss may have rebuilt a regime: the bulk fold's
                     # preconditions may now hold.
                     try_bulk = bulk_ok
+                gap_cycles += count * gap
+                if kernel_name not in first:
+                    first[kernel_name] = start
+                counts[kernel_name] = counts.get(kernel_name, 0) + count
+                latency_sums[kernel_name] = (
+                    latency_sums.get(kernel_name, 0) + count * latency
+                )
+                key = decision.mode.value
+                exec_by_mode[key] = exec_by_mode.get(key, 0) + count
+                cycles_by_mode[key] = cycles_by_mode.get(key, 0) + count * latency
+                kernel_cycles += count * latency
+                if trace is not None:
+                    trace.record_execution_run(
+                        ExecutionRunRecord(
+                            time=start,
+                            block=block,
+                            kernel=kernel_name,
+                            mode=decision.mode,
+                            latency=latency,
+                            level=decision.level,
+                            ise_name=decision.ise_name,
+                            count=count,
+                            period=period,
+                        )
+                    )
+                t = start + (count - 1) * period + latency
+                last[kernel_name] = t
+                remaining -= count
         if pending_touch:
-            self._flush_touches(ecu, pending_touch)
+            self._flush_touches(resources, pending_touch)
         stats.ecu_calls += ecu_calls
         stats.executions_fastforwarded += fastforwarded
         stats.events_processed += events
@@ -568,10 +469,13 @@ class Simulator:
         return t
 
     @staticmethod
-    def _flush_touches(ecu, pending_touch: Dict[str, Tuple[Tuple[str, ...], int]]) -> None:
+    def _flush_touches(
+        resources, pending_touch: Dict[str, Tuple[Tuple[str, ...], int]]
+    ) -> None:
         """Apply and clear the packed engine's deferred LRU touches."""
         for impl_names, touch_time in pending_touch.values():
-            ecu.apply_touches(impl_names, touch_time)
+            for impl_name in impl_names:
+                resources.touch(impl_name, touch_time)
         pending_touch.clear()
 
     @staticmethod

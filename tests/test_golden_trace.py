@@ -6,7 +6,7 @@ execution (time, mode, level, ISE) plus all aggregate statistics.  A
 selector, ECU, MPU or simulator refactor that shifts any of it -- even one
 cycle -- fails here instead of silently moving the paper figures.
 
-Every scenario is replayed under **all three** ``REPRO_SIM`` engines
+Every scenario is replayed under **both** ``REPRO_SIM`` engines
 against the same snapshot, so the lock simultaneously pins behaviour over
 time and the engines' byte-identity contract.
 

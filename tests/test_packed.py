@@ -305,10 +305,6 @@ class TestProgramRoundTrip:
         )
         program = pack_program(application)
         assert len(program.iterations) == len(application.iterations)
-        assert program.profiled == {
-            block.name: application.profiled_triggers(block.name)
-            for block in application.blocks
-        }
         for iteration in application.iterations:
             _assert_iteration_round_trip(iteration)
 

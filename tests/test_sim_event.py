@@ -1,8 +1,9 @@
-"""The event-driven execution engine: byte-identical fast-forwarding.
+"""Event-driven fast-forwarding: byte-identical to the stepped oracle.
 
-The event engine must produce *byte-identical* stats and trace payloads to
-the stepped reference loop -- on the golden workload, across every policy
-on fig8/9/10-style budget grids, under run-time fabric contention, and on
+The packed engine fast-forwards runs of executions between availability
+events.  It must produce *byte-identical* stats and trace payloads to the
+stepped reference loop -- on the golden workload, across every policy on
+fig8/9/10-style budget grids, under run-time fabric contention, and on
 randomized libraries/applications -- while calling the ECU cascade far
 less often.
 """
@@ -73,10 +74,10 @@ def _ab(application, budget, make_library, make_policy,
         results[engine] = _run(
             application, budget, make_library, make_policy, engine, contention
         )
-    stepped, event = results["stepped"], results["event"]
-    assert stepped.stats.to_payload() == event.stats.to_payload()
-    assert stepped.trace.to_payload() == event.trace.to_payload()
-    return stepped, event
+    stepped, packed = results["stepped"], results["packed"]
+    assert stepped.stats.to_payload() == packed.stats.to_payload()
+    assert stepped.trace.to_payload() == packed.trace.to_payload()
+    return stepped, packed
 
 
 def _deblocking_scenario():
@@ -92,8 +93,8 @@ def _deblocking_scenario():
 class TestGoldenWorkload:
     def test_deblocking_byte_identical(self):
         application, budget, make_library = _deblocking_scenario()
-        stepped, event = _ab(application, budget, make_library, MRTS)
-        assert event.stats.ecu_calls < stepped.stats.ecu_calls
+        stepped, packed = _ab(application, budget, make_library, MRTS)
+        assert packed.stats.ecu_calls < stepped.stats.ecu_calls
 
     def test_stepped_counters_are_trivial(self):
         application, budget, make_library = _deblocking_scenario()
@@ -105,8 +106,10 @@ class TestGoldenWorkload:
         assert result.trace.runs == []
 
     def test_event_counters_account_for_every_execution(self):
+        """The event-driven counters of a traced packed run: every
+        execution is a cascade call or a fast-forward."""
         application, budget, make_library = _deblocking_scenario()
-        result = _run(application, budget, make_library, MRTS, "event")
+        result = _run(application, budget, make_library, MRTS, "packed")
         stats = result.stats
         assert (
             stats.ecu_calls + stats.executions_fastforwarded
@@ -121,7 +124,7 @@ class TestGoldenWorkload:
     def test_engine_payload_separate_from_golden_payload(self):
         application, budget, make_library = _deblocking_scenario()
         stats = _run(
-            application, budget, make_library, MRTS, "event"
+            application, budget, make_library, MRTS, "packed"
         ).stats
         engine = stats.engine_payload()
         assert set(engine) == {
@@ -167,12 +170,13 @@ class TestPolicyGrid:
             )
 
     def test_event_engine_reduces_ecu_calls_for_mrts(self):
+        """The event-driven (packed) engine fast-forwards most executions."""
         application = h264_application(frames=2, seed=7)
         budget = ResourceBudget(n_prcs=2, n_cg_fabrics=2)
-        stepped, event = _ab(
+        stepped, packed = _ab(
             application, budget, lambda: h264_library(budget), MRTS
         )
-        assert stepped.stats.ecu_calls >= 5 * event.stats.ecu_calls
+        assert stepped.stats.ecu_calls >= 5 * packed.stats.ecu_calls
 
 
 # --------------------------------------------------------- contention
@@ -193,7 +197,7 @@ class TestContention:
         )
 
     def test_full_contention_identical(self):
-        """Everything claimed at t=0, released mid-run: the event engine
+        """Everything claimed at t=0, released mid-run: the packed engine
         must re-evaluate regimes when block-boundary contention events
         mutate the fabric."""
         application = h264_application(frames=2, seed=3)
@@ -298,9 +302,19 @@ class TestRandomized:
 
 
 class TestEngineResolution:
-    def test_default_is_event(self, monkeypatch):
+    def test_default_is_packed(self, monkeypatch):
         monkeypatch.delenv(ENGINE_MODE_ENV, raising=False)
-        assert resolve_engine_mode() == "event"
+        assert resolve_engine_mode() == "packed"
+
+    def test_retired_event_engine_rejected(self, monkeypatch):
+        """The event loop is gone: naming it is an error that lists the
+        engines that remain, not a silent fallback."""
+        monkeypatch.setenv(ENGINE_MODE_ENV, "event")
+        with pytest.raises(ReproError, match=r"\['stepped', 'packed'\]"):
+            resolve_engine_mode()
+        monkeypatch.delenv(ENGINE_MODE_ENV)
+        with pytest.raises(ReproError, match="simulator engine 'event'"):
+            resolve_engine_mode("event")
 
     def test_env_respected(self, monkeypatch):
         monkeypatch.setenv(ENGINE_MODE_ENV, "stepped")
@@ -308,7 +322,7 @@ class TestEngineResolution:
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv(ENGINE_MODE_ENV, "stepped")
-        assert resolve_engine_mode("event") == "event"
+        assert resolve_engine_mode("packed") == "packed"
 
     @pytest.mark.parametrize("bad", ["fast", "STEPPED", ""])
     def test_invalid_explicit_rejected(self, bad, monkeypatch):
@@ -318,7 +332,7 @@ class TestEngineResolution:
                 resolve_engine_mode(bad)
         else:
             # Empty string falls through to the default like None.
-            assert resolve_engine_mode(bad) == "event"
+            assert resolve_engine_mode(bad) == "packed"
 
     def test_invalid_env_rejected(self, monkeypatch):
         monkeypatch.setenv(ENGINE_MODE_ENV, "warp")

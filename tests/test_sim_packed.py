@@ -1,15 +1,15 @@
 """The packed structure-of-arrays engine: byte-identical index arithmetic.
 
-The packed engine must produce *byte-identical* stats and trace payloads
-to BOTH the stepped reference loop and the event engine -- on the golden
-workloads, across every policy on fig8/9/10-style budget grids, under
-run-time fabric contention, and on randomized libraries/applications --
-while beating both on wall clock (the ``repro bench --suite sim`` gate).
+The packed engine (the default) must produce *byte-identical* stats and
+trace payloads to the stepped reference oracle -- on the golden workloads,
+across every policy on fig8/9/10-style budget grids, under run-time fabric
+contention, and on randomized libraries/applications -- while beating it
+on wall clock (the ``repro bench --suite sim`` gate).
 
-This is the A/B/C counterpart of ``tests/test_sim_event.py``: where that
-suite pins stepped == event, this one asserts all three engines pairwise,
-with and without trace collection (the bulk suffix fold only runs with
-tracing off, so both configurations must be exercised).
+Where ``tests/test_sim_event.py`` pins the traced event-driven path, this
+suite asserts identity with and without trace collection (the bulk suffix
+fold only runs with tracing off, so both configurations must be
+exercised), including the RISC baseline's published regimes.
 """
 
 import pytest
@@ -48,6 +48,17 @@ from repro.workloads.h264 import (
     h264_library,
 )
 from repro.workloads.jpeg import jpeg_application, jpeg_library
+from repro.bench import FIG8_BUDGETS
+from repro.config_env import SELECTOR_MODE_ENV
+from repro.core.selector import SELECTOR_MODES
+from repro.experiments import engine as engine_module
+from repro.experiments.engine import (
+    SweepCell,
+    SweepEngine,
+    WorkloadFamily,
+    clear_build_memo,
+    execute_cell,
+)
 
 
 # --------------------------------------------------------------- helpers
@@ -66,10 +77,10 @@ def _run(application, budget, make_library, make_policy, engine,
     ).run()
 
 
-def _abc(application, budget, make_library, make_policy,
+def _ab(application, budget, make_library, make_policy,
          contention_factory=None, collect_trace=True):
-    """Run all three engines on identical inputs; assert pairwise
-    byte-identity against the stepped reference.
+    """Run every engine on identical inputs; assert byte-identity against
+    the stepped reference.
 
     Library, policy and contention schedule are built fresh per engine
     (all three are stateful across a run)."""
@@ -114,26 +125,30 @@ class TestGoldenWorkloads:
     @pytest.mark.parametrize("scenario", [_deblocking_scenario, _jpeg_scenario])
     def test_traced_byte_identical(self, scenario):
         application, budget, make_library = scenario()
-        _abc(application, budget, make_library, MRTS)
+        _ab(application, budget, make_library, MRTS)
 
     @pytest.mark.parametrize("scenario", [_deblocking_scenario, _jpeg_scenario])
     def test_untraced_byte_identical(self, scenario):
         """Without a trace the packed engine takes its bulk suffix fold --
         a different code path that must land on the same statistics."""
         application, budget, make_library = scenario()
-        _abc(application, budget, make_library, MRTS, collect_trace=False)
+        _ab(application, budget, make_library, MRTS, collect_trace=False)
 
-    def test_packed_counters_match_event(self):
-        """The packed engine transcribes the event engine's bookkeeping:
-        the ECU-call / fast-forward / event counters must agree exactly
-        when both record per-run (tracing on)."""
+    def test_packed_counters_independent_of_tracing(self):
+        """The bulk fold only replaces runs that would all be full-count
+        regime hits, so the ECU-call / fast-forward / event counters must
+        agree exactly between a traced (per-run) and an untraced run."""
         application, budget, make_library = _deblocking_scenario()
-        results = _abc(application, budget, make_library, MRTS)
-        event, packed = results["event"], results["packed"]
-        assert (
-            packed.stats.engine_payload() == event.stats.engine_payload()
+        traced = _ab(application, budget, make_library, MRTS)["packed"]
+        untraced = _run(
+            application, budget, make_library, MRTS, "packed",
+            collect_trace=False,
         )
-        assert packed.stats.ecu_calls < results["stepped"].stats.ecu_calls
+        assert (
+            untraced.stats.engine_payload() == traced.stats.engine_payload()
+        )
+        stepped = _run(application, budget, make_library, MRTS, "stepped")
+        assert traced.stats.ecu_calls < stepped.stats.ecu_calls
 
     def test_untraced_fold_accounts_for_every_execution(self):
         """With the bulk fold active, every execution is still either a
@@ -172,11 +187,11 @@ class TestSelectorHandoff:
         ).run()
         assert policy.selector.mode == "naive"
 
-    def test_event_engine_keeps_incremental_selector(self):
+    def test_stepped_engine_keeps_incremental_selector(self):
         application, budget, make_library = _deblocking_scenario()
         policy = MRTS()
         Simulator(
-            application, make_library(), budget, policy, engine="event"
+            application, make_library(), budget, policy, engine="stepped"
         ).run()
         assert policy.selector.mode == "incremental"
 
@@ -204,7 +219,7 @@ class TestPolicyGrid:
         application = h264_application(frames=1, seed=11)
         for cg, prc in GRID_BUDGETS:
             budget = ResourceBudget(n_prcs=prc, n_cg_fabrics=cg)
-            _abc(
+            _ab(
                 application,
                 budget,
                 lambda budget=budget: h264_library(budget),
@@ -213,11 +228,11 @@ class TestPolicyGrid:
 
     @pytest.mark.parametrize("policy_name", sorted(POLICY_FACTORIES))
     def test_engines_identical_untraced(self, policy_name):
-        """The bulk-fold path across every policy family: non-ECU policies
-        must fall back to per-run execution and still agree."""
+        """The bulk-fold path across every policy family: ECU policies fold
+        through the ECU's regimes, the RISC baseline through its own."""
         application = h264_application(frames=1, seed=11)
         budget = ResourceBudget(n_prcs=2, n_cg_fabrics=2)
-        _abc(
+        _ab(
             application,
             budget,
             lambda: h264_library(budget),
@@ -234,7 +249,7 @@ class TestContention:
     def test_periodic_contention_identical(self, collect_trace):
         application = h264_application(frames=2, seed=3)
         budget = ResourceBudget(n_prcs=2, n_cg_fabrics=2)
-        _abc(
+        _ab(
             application,
             budget,
             lambda: h264_library(budget),
@@ -252,7 +267,7 @@ class TestContention:
         block-boundary contention events mutate the fabric."""
         application = h264_application(frames=2, seed=3)
         budget = ResourceBudget(n_prcs=2, n_cg_fabrics=2)
-        _abc(
+        _ab(
             application,
             budget,
             lambda: h264_library(budget),
@@ -344,7 +359,7 @@ class TestRandomized:
             for demand_cycle in [demands[i:] + demands[:i] for i in range(3)]
         ]
         application = Application("rand", [block], iterations)
-        _abc(
+        _ab(
             application,
             budget,
             lambda: ISELibrary(kernels, budget),
@@ -368,9 +383,9 @@ class TestEngineResolution:
         monkeypatch.setenv(ENGINE_MODE_ENV, "packed")
         assert resolve_engine_mode() == "packed"
 
-    def test_default_unchanged(self, monkeypatch):
+    def test_default_is_packed(self, monkeypatch):
         monkeypatch.delenv(ENGINE_MODE_ENV, raising=False)
-        assert resolve_engine_mode() == "event"
+        assert resolve_engine_mode() == "packed"
 
     def test_simulator_honours_env(self, monkeypatch):
         application, budget, make_library = _deblocking_scenario()
@@ -382,3 +397,171 @@ class TestEngineResolution:
         # Only the packed engine swaps the selector implementation.
         assert policy.selector.mode == "packed"
         assert result.stats.executions_fastforwarded > 0
+
+
+# ------------------------------------------------------ RISC regime fold
+
+
+def _two_kernel_scenario(base_cycles):
+    """One block of two kernels whose RISC latency scales with
+    ``base_cycles`` (same names, different libraries)."""
+    kernels = [
+        Kernel(
+            name,
+            base_cycles=base_cycles,
+            datapaths=[_spec(name, 0, (8, 16, 16, 4, 200, 4))],
+        )
+        for name in ("k0", "k1")
+    ]
+    budget = ResourceBudget(n_prcs=1, n_cg_fabrics=1)
+    block = FunctionalBlock("B", kernels)
+    iterations = [
+        BlockIteration(
+            "B", [KernelIteration("k0", 30, 12), KernelIteration("k1", 7, 40)]
+        )
+        for _ in range(3)
+    ]
+    application = Application("risc", [block], iterations)
+    return application, budget, lambda: ISELibrary(kernels, budget)
+
+
+class TestRiscFold:
+    """The RISC baseline's published regimes (plain budget-grid identity is
+    the ``risc`` case of :class:`TestPolicyGrid`)."""
+
+    @pytest.mark.parametrize("collect_trace", [True, False])
+    def test_risc_identical_under_contention(self, collect_trace):
+        """Contention bumps the fabric version: the published regimes go
+        stale, are rebuilt on the next miss, and nothing else changes."""
+        application = h264_application(frames=2, seed=3)
+        budget = ResourceBudget(n_prcs=2, n_cg_fabrics=2)
+        _ab(
+            application,
+            budget,
+            lambda: h264_library(budget),
+            RiscModePolicy,
+            contention_factory=lambda: ContentionSchedule.periodic(
+                period=40_000, duty_prcs=1, duty_cg_slots=1, until=400_000
+            ),
+            collect_trace=collect_trace,
+        )
+
+    def test_risc_policy_called_once_per_kernel(self):
+        """With the regimes published, the packed engine asks the RISC
+        policy once per kernel for the whole run; every other execution is
+        a fast-forward, most of them folded in bulk."""
+        application = h264_application(frames=2, seed=7)
+        budget = ResourceBudget(n_prcs=2, n_cg_fabrics=2)
+        stats = _run(
+            application, budget, lambda: h264_library(budget),
+            RiscModePolicy, "packed", collect_trace=False,
+        ).stats
+        executed = {
+            kit.kernel
+            for iteration in application.iterations
+            for kit in iteration.kernels
+            if kit.executions
+        }
+        assert stats.ecu_calls == len(executed)
+        assert stats.events_processed == 0
+        assert (
+            stats.executions_fastforwarded
+            == stats.total_executions - len(executed)
+        )
+
+    def test_reattached_policy_drops_stale_regimes(self):
+        """A policy object reused on another library must not serve the
+        previous library's latencies from its regime cache."""
+        policy = RiscModePolicy()
+        for base_cycles in (100, 900):
+            application, budget, make_library = _two_kernel_scenario(base_cycles)
+            reused = Simulator(
+                application, make_library(), budget, policy, engine="packed"
+            ).run()
+            fresh = _run(
+                application, budget, make_library, RiscModePolicy, "stepped"
+            )
+            assert reused.stats.to_payload() == fresh.stats.to_payload()
+
+
+# -------------------------------------------------- RISPP selector modes
+
+
+class TestRisppSelectorModes:
+    def test_rispp_cells_identical_across_selector_modes(self, monkeypatch):
+        """``$REPRO_SELECTOR`` must never change a record: the RISPP
+        baseline's quantised ``_profit_of`` override holds on the packed
+        selector path too (fig8 grid, 1 frame, seed 39)."""
+        records = {}
+        for mode in SELECTOR_MODES:
+            monkeypatch.setenv(SELECTOR_MODE_ENV, mode)
+            records[mode] = [
+                execute_cell(
+                    SweepCell.make(
+                        budget, 39, "rispp", workload_params={"frames": 1}
+                    )
+                )
+                for budget in FIG8_BUDGETS
+            ]
+        for mode in SELECTOR_MODES:
+            assert records[mode] == records["naive"], mode
+
+
+# ------------------------------------------------- per-process memos
+
+
+class TestBuildOnce:
+    def _count_library_builds(self, monkeypatch):
+        """Fresh memos plus a counting wrapper around the h264 library
+        builder; returns the per-budget build tally."""
+        monkeypatch.setattr(engine_module, "_FINGERPRINTS", {})
+        clear_build_memo()
+        family = engine_module.WORKLOADS["h264"]
+        builds = {}
+
+        def counting_library(budget, params):
+            key = (budget.n_cg_fabrics, budget.n_prcs)
+            builds[key] = builds.get(key, 0) + 1
+            return family.library(budget, params)
+
+        monkeypatch.setitem(
+            engine_module.WORKLOADS,
+            "h264",
+            WorkloadFamily("h264", family.application, counting_library),
+        )
+        return builds
+
+    def test_serial_sweep_compiles_each_library_once(self, monkeypatch):
+        builds = self._count_library_builds(monkeypatch)
+        cells = [
+            SweepCell.make(budget, 0, policy, workload_params={"frames": 1})
+            for budget in FIG8_BUDGETS
+            for policy in ("risc", "mrts")
+        ]
+        engine = SweepEngine(use_cache=False, backend="serial")
+        engine.run(cells)
+        assert builds == {budget: 1 for budget in FIG8_BUDGETS}
+        assert engine.stats.libraries_built == len(FIG8_BUDGETS)
+        clear_build_memo()
+
+    def test_keying_without_retention_holds_no_library(self, monkeypatch):
+        """The service daemon keys cells it never executes: the compiled
+        library is hashed and dropped, not memoised."""
+        builds = self._count_library_builds(monkeypatch)
+        cell = SweepCell.make((1, 1), 0, "mrts", workload_params={"frames": 1})
+        key = engine_module.cell_key(cell, retain_library=False)
+        assert builds == {(1, 1): 1}
+        assert not engine_module._LIB_MEMO
+        monkeypatch.setattr(engine_module, "_FINGERPRINTS", {})
+        assert engine_module.cell_key(cell) == key
+
+    def test_profiled_triggers_memo_cannot_be_poisoned(self):
+        application = h264_application(frames=2, seed=1)
+        block = application.blocks[0].name
+        first = application.profiled_triggers(block)
+        expected = list(first)
+        first.clear()
+        first.append("junk")
+        again = application.profiled_triggers(block)
+        assert again == expected
+        assert again is not application.profiled_triggers(block)
