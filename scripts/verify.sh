@@ -8,7 +8,7 @@
 # The bench steps write the quick variants of BENCH_selector.json,
 # BENCH_sim.json, BENCH_engine.json, BENCH_service.json and
 # BENCH_store.json and fail on any A/B regression: differing results,
-# the incremental selector recomputing more profits than the naive one
+# the packed selector recomputing more profits than the naive one
 # (repro.bench.check_gate), the packed engine reducing ECU cascade calls
 # by less than the 5x threshold or missing its per-cell wall-clock
 # speedup threshold over the stepped oracle (repro.bench.check_sim_gate),
@@ -22,8 +22,10 @@
 # byte-identity on the round-trip / missing its peak-memory ratio over
 # in-memory aggregation (repro.bench.check_store_gate).  The stepped
 # oracle gate re-runs the engine identity and golden suites with
-# REPRO_SIM=stepped, so the process-wide default flips to the reference
-# loop and the byte-identity contract is pinned from the oracle's side.
+# REPRO_SIM=stepped REPRO_SELECTOR=naive, so the process-wide defaults
+# flip to both reference oracles (the one-call-per-execution loop and the
+# Fig. 6 rescan selector) and the byte-identity contract is pinned from
+# the oracles' side.
 # The shape gate runs scripts/validate_shapes.py --fast: every claim
 # EXPERIMENTS.md makes about the paper's figures must PASS.
 set -euo pipefail
@@ -59,7 +61,7 @@ echo "== tier-1 tests =="
 python -m pytest -x -q
 
 echo "== stepped oracle gate =="
-REPRO_SIM=stepped python -m pytest -q \
+REPRO_SIM=stepped REPRO_SELECTOR=naive python -m pytest -q \
     tests/test_sim_packed.py tests/test_golden_trace.py
 
 echo "== paper shape gate =="

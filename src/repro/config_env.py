@@ -10,8 +10,9 @@ an ad-hoc ``os.environ.get`` in a hot path can never silently make two
 Variables
 ---------
 ``REPRO_SELECTOR``
-    Selector implementation (``naive`` | ``incremental`` | ``packed``);
-    see :func:`repro.core.selector.resolve_selector_mode`.
+    Selector implementation (``naive`` | ``packed``); ``packed``, the
+    fast path, is the default and ``naive`` the Fig. 6 rescan reference
+    oracle; see :func:`repro.core.selector.resolve_selector_mode`.
 ``REPRO_SIM``
     Simulator execution engine (``stepped`` | ``packed``); ``packed``, the
     fast path, is the default and ``stepped`` the one-call-per-execution
@@ -86,12 +87,11 @@ def env_choice(
 
 
 def selector_mode(explicit: Optional[str] = None) -> str:
-    """The ISE-selector implementation to use
-    (``naive`` | ``incremental`` | ``packed``)."""
+    """The ISE-selector implementation to use (``naive`` | ``packed``)."""
     from repro.core.selector import SELECTOR_MODES
 
     return env_choice(
-        SELECTOR_MODE_ENV, SELECTOR_MODES, "incremental",
+        SELECTOR_MODE_ENV, SELECTOR_MODES, "packed",
         explicit=explicit, what="selector mode",
     )
 

@@ -66,23 +66,6 @@ class MRTS(RuntimePolicy):
             monocg_breakeven_cycles=self.config.monocg_breakeven_cycles,
         )
 
-    def enable_packed(self) -> None:
-        """Switch the selector to its packed-array implementation (the
-        packed simulator engine calls this after :meth:`attach`).
-
-        Only a plain :class:`ISESelector` in its default ``incremental``
-        mode is swapped: an explicit ``naive``/``packed`` choice
-        (constructor argument or ``$REPRO_SELECTOR``) stays honoured, and
-        subclasses installing a selector of their own (the online-optimal
-        baseline's ``OptimalSelector``, the RISPP baseline's
-        ``QuantizedProfitSelector`` with its overridden profit arithmetic)
-        are left alone -- a replacement would drop their overrides."""
-        if (
-            type(self.selector) is ISESelector
-            and self.selector.mode == "incremental"
-        ):
-            self.selector = ISESelector(self.library, mode="packed")
-
     # ------------------------------------------------------------- events
     def on_block_entry(
         self,

@@ -12,8 +12,9 @@ break the byte-identity contract of the golden payloads):
     qualified implementation name interned to a dense integer id, every
     candidate ISE flattened into ``(row_impl, row_qty, row_fg, row_reconfig,
     row_area)`` slices of shared arrays, plus the latency staircases, FG
-    requirements, footprints, profit bounds and the scan order / inverted
-    index the incremental selector derives per call today.  Packings are
+    requirements, footprints, profit bounds, the per-kernel scan order and
+    the ``impl id -> candidates`` inverted index the packed selector
+    invalidates through.  Packings are
     cached per library in a :class:`weakref.WeakKeyDictionary`, so a sweep
     that reuses one library across budgets packs once.
 
@@ -167,8 +168,8 @@ class PackedLibrary:
                 )
                 self.foot_start.append(len(self.foot_impl))
             self.kernel_cids[kernel_name] = tuple(cids)
-            # The incremental selector sorts each kernel's candidates by
-            # (-profit bound, candidate index) once per select() call; the
+            # The selector scans each kernel's candidates by (-profit bound,
+            # candidate index) so bound pruning can cut the tail; the
             # ordering is static, so bake it in here.
             self.scan_cids[kernel_name] = tuple(
                 sorted(cids, key=lambda c: (-self.cand_bound[c], self.cand_local[c]))
@@ -176,8 +177,7 @@ class PackedLibrary:
 
         self.n_impls = len(self.impl_names)
         self.n_candidates = len(self.cand_kernel)
-        # Inverted index (the packed twin of ISELibrary.ises_sharing):
-        # impl id -> every cid whose footprint contains it.
+        # Inverted index: impl id -> every cid whose footprint contains it.
         users: List[List[int]] = [[] for _ in range(self.n_impls)]
         for cid in range(self.n_candidates):
             for position in range(self.foot_start[cid], self.foot_start[cid + 1]):

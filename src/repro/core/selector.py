@@ -14,33 +14,30 @@ forecasted by the trigger instructions:
 Complexity O(N*M) profit evaluations per round (N kernels, M ISEs each)
 instead of the O(M^N) of the optimal algorithm.
 
-Three implementations produce byte-identical results (``docs/selector.md``):
+Two implementations produce byte-identical results (``docs/selector.md``):
 
 * the **naive** selector recomputes every candidate's profit each round --
-  a direct transcription of Fig. 6;
-* the **incremental** selector (the default) keeps each candidate's last
+  a direct transcription of Fig. 6, kept as the reference oracle;
+* the **packed** selector (the default) keeps each candidate's last
   ``(charge, schedule, profit)`` across rounds and, after committing a
   winner, invalidates only the candidates the commit can actually perturb:
-  those whose data-path footprint intersects the winner's (via the
-  library's precompiled inverted index) and -- when the commit moved the
-  FG bitstream port -- those with uncovered FG instances;
-* the **packed** selector runs the incremental algorithm over the
-  structure-of-arrays packing of :mod:`repro.core.packed`: implementation
-  names interned to dense ids, candidate rows / latency staircases / FG
-  requirements flattened into parallel arrays at library-build time, and
-  the per-call working state (coverage, ready times, reservations, cache
-  validity) held in flat arrays indexed by those ids.  Same rounds, same
-  logical counters, same tie-breaks -- only the data layout differs.  A
-  subclass overriding the profit arithmetic (:meth:`ISESelector._profit_of`)
-  keeps its override on every path; the packed one hands it name-keyed
-  views of its working arrays.
+  those sharing a data path whose reservation, coverage or ready time the
+  winner changed and -- when the commit moved the FG bitstream port --
+  those with uncovered FG instances.  It runs over the structure-of-arrays
+  packing of :mod:`repro.core.packed`: implementation names interned to
+  dense ids, candidate rows / latency staircases / FG requirements
+  flattened into parallel arrays at library-build time, and the per-call
+  working state held in flat arrays indexed by those ids.  A subclass
+  overriding the profit arithmetic (:meth:`ISESelector._profit_of`) keeps
+  its override; the packed selector hands it name-keyed views of its
+  working arrays.
 
 Pick the implementation with the ``REPRO_SELECTOR`` environment variable
-(``naive`` | ``incremental`` | ``packed``) or the ``mode`` constructor
-argument.  All report the same ``profit_evaluations`` (the *logical* Fig. 6
-count, which also feeds the overhead model); the incremental and packed
-ones additionally split it into ``evaluations_recomputed`` and
-``evaluations_skipped``.
+(``naive`` | ``packed``) or the ``mode`` constructor argument.  Both
+report the same ``profit_evaluations`` (the *logical* Fig. 6 count, which
+also feeds the overhead model); the packed one additionally splits it into
+``evaluations_recomputed``, ``evaluations_skipped`` and
+``evaluations_pruned``.
 
 Ties between equal-profit candidates resolve deterministically by
 ``(profit, kernel name, candidate index)``: the lexicographically smallest
@@ -50,7 +47,7 @@ kernel wins, then the earliest candidate in the library's candidate order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.packed import PackedLibrary, pack_library
 from repro.core.profit import ise_profit, profit_value
@@ -62,12 +59,12 @@ from repro.sim.trigger import TriggerInstruction
 from repro.util.validation import ReproError
 
 #: Environment variable selecting the implementation (``naive`` |
-#: ``incremental``); the constructor argument takes precedence.  Re-exported
+#: ``packed``); the constructor argument takes precedence.  Re-exported
 #: from the central registry in :mod:`repro.config_env`.
 from repro.config_env import SELECTOR_MODE_ENV
 
-#: Valid selector implementations; ``incremental`` is the default.
-SELECTOR_MODES = ("naive", "incremental", "packed")
+#: Valid selector implementations; ``packed`` is the default.
+SELECTOR_MODES = ("naive", "packed")
 
 #: Relative slack applied to the static profit upper bound before pruning.
 #: ``e * profit_bound_per_execution`` dominates the profit in real
@@ -78,7 +75,7 @@ SELECTOR_MODES = ("naive", "incremental", "packed")
 #: magnitude above the worst-case summation error, vanishingly small
 #: against any real profit gap -- so a candidate is only pruned when its
 #: *computed* profit provably cannot win the round, keeping the
-#: incremental selector byte-identical to the naive one.
+#: packed selector byte-identical to the naive one.
 BOUND_PRUNE_SLACK = 1e-9
 
 
@@ -177,7 +174,7 @@ def apply_reservation(ise: ISE, reserved: Dict[str, int]) -> None:
 
 def resolve_selector_mode(mode: Optional[str] = None) -> str:
     """The selector implementation to use: the explicit ``mode`` if given,
-    else ``$REPRO_SELECTOR``, else ``incremental``."""
+    else ``$REPRO_SELECTOR``, else ``packed``."""
     from repro.config_env import selector_mode
 
     return selector_mode(mode)
@@ -191,7 +188,7 @@ class SelectionResult:
     candidate per greedy round -- and is identical for both selector
     implementations (the overhead model charges it, so the modelled
     hardware cost does not depend on how the reproduction computes it).
-    The incremental selector splits it into ``evaluations_recomputed``
+    The packed selector splits it into ``evaluations_recomputed``
     (profits actually recomputed), ``evaluations_skipped`` (served from
     the round-to-round cache) and ``evaluations_pruned`` (discarded by the
     static profit upper bound without computing Eqs. 2-4); the naive
@@ -256,47 +253,12 @@ class _ImplView:
         return self._values[impl]
 
 
-class _CandidateEntry:
-    """Round-to-round cached state of one candidate ISE.
-
-    ``charge`` stays valid until a committed winner's footprint intersects
-    this candidate's; ``profit``/``schedule``/``port_after`` stay valid
-    until that happens *or* the effective FG bitstream port moves while the
-    candidate still has uncovered FG instances (``fg_sensitive``).
-    """
-
-    __slots__ = (
-        "ise",
-        "index",
-        "bound_coeff",
-        "charge",
-        "charge_valid",
-        "profit",
-        "schedule",
-        "port_after",
-        "fg_sensitive",
-        "profit_valid",
-    )
-
-    def __init__(self, ise: ISE, index: int):
-        self.ise = ise
-        self.index = index
-        self.bound_coeff = ise.profit_bound_per_execution
-        self.charge: Dict[FabricType, int] = {}
-        self.charge_valid = False
-        self.profit = 0.0
-        self.schedule: List[float] = []
-        self.port_after = 0.0
-        self.fg_sensitive = False
-        self.profit_valid = False
-
-
 class ISESelector:
     """The heuristic multi-grained ISE selector (Section 4.1).
 
-    ``mode`` picks the implementation (``naive`` | ``incremental`` |
-    ``packed``); when omitted it falls back to ``$REPRO_SELECTOR`` and
-    finally to ``incremental``.  All produce byte-identical
+    ``mode`` picks the implementation (``naive`` | ``packed``); when
+    omitted it falls back to ``$REPRO_SELECTOR`` and finally to
+    ``packed``.  Both produce byte-identical
     :class:`SelectionResult` decisions and logical counters.
     """
 
@@ -328,8 +290,6 @@ class ISESelector:
             if trig.kernel not in self.library.kernels:
                 raise ReproError(f"trigger for unknown kernel {trig.kernel!r}")
             triggers_by_kernel[trig.kernel] = trig
-        if self.mode == "incremental":
-            return self._select_incremental(triggers_by_kernel, controller, now)
         if self.mode == "packed":
             return self._select_packed(triggers_by_kernel, controller, now)
         return self._select_naive(triggers_by_kernel, controller, now)
@@ -371,24 +331,15 @@ class ISESelector:
         coverage: Dict[str, int],
         existing_ready: Dict[str, float],
         now: int,
-    ) -> Set[str]:
-        """Fold a committed winner into the working coverage state.
-
-        Returns the data-path names whose coverage or ready time actually
-        *changed* -- the exact set of inputs a cached profit can depend on
-        (a covered winner that raises nothing perturbs no profit cache).
-        """
-        changed: Set[str] = set()
+    ) -> None:
+        """Fold a committed winner into the working coverage state."""
         for level_index, instance in enumerate(ise.instances):
             name = instance.impl.name
             if instance.quantity > coverage.get(name, 0):
                 coverage[name] = instance.quantity
-                changed.add(name)
             ready_abs = now + schedule[level_index]
             if ready_abs > existing_ready.get(name, 0.0):
                 existing_ready[name] = ready_abs
-                changed.add(name)
-        return changed
 
     # ------------------------------------------------------------ naive
     def _select_naive(
@@ -469,184 +420,6 @@ class ISESelector:
 
         return result
 
-    # ------------------------------------------------------ incremental
-    def _select_incremental(
-        self,
-        triggers_by_kernel: Dict[str, TriggerInstruction],
-        controller: ReconfigurationController,
-        now: int,
-    ) -> SelectionResult:
-        result = SelectionResult(mode="incremental")
-
-        entries: Dict[str, List[_CandidateEntry]] = {
-            kernel: [
-                _CandidateEntry(ise, index)
-                for index, ise in enumerate(self.library.candidate_tuple(kernel))
-            ]
-            for kernel in triggers_by_kernel
-        }
-        result.candidates_considered = sum(len(e) for e in entries.values())
-        # Scan each kernel's candidates in descending profit-upper-bound
-        # order: once the running argmax exceeds a candidate's bound, it --
-        # and everything after it -- can be pruned without evaluation.  The
-        # argmax (with the explicit tie-break) is order-independent, so this
-        # cannot change the selection.
-        scan_order: Dict[str, List[_CandidateEntry]] = {
-            kernel: sorted(
-                kernel_entries, key=lambda e: (-e.bound_coeff, e.index)
-            )
-            for kernel, kernel_entries in entries.items()
-        }
-
-        (
-            free,
-            exempt,
-            snapshot,
-            coverage,
-            existing_ready,
-            fg_port_free_at,
-        ) = self._setup(triggers_by_kernel, controller, now)
-        reserved: Dict[str, int] = {}
-
-        pending = set(triggers_by_kernel)
-        while pending:
-            result.rounds += 1
-            best: Optional[Tuple[float, str, int, _CandidateEntry]] = None
-            for kernel in sorted(pending):
-                trig = triggers_by_kernel[kernel]
-                executions = trig.executions
-                for entry in scan_order[kernel]:
-                    if not entry.charge_valid:
-                        entry.charge = reservation_charge(entry.ise, reserved, exempt)
-                        entry.charge_valid = True
-                    charge = entry.charge
-                    if (
-                        charge[FabricType.FG] > free[FabricType.FG]
-                        or charge[FabricType.CG] > free[FabricType.CG]
-                    ):
-                        continue
-                    result.profit_evaluations += 1
-                    if entry.profit_valid:
-                        result.evaluations_skipped += 1
-                    else:
-                        # Profit upper bound (see ISE.profit_bound_per_execution):
-                        # prune when even the bound -- widened by
-                        # BOUND_PRUNE_SLACK to absorb the float summation
-                        # error of ise_profit -- cannot beat the running
-                        # argmax.  A non-positive bound cannot produce a
-                        # committable (> 0) winner either: with all savings
-                        # or executions zero every profit term is an exact
-                        # float zero.
-                        bound = executions * entry.bound_coeff
-                        if best is None:
-                            if bound <= 0.0:
-                                result.evaluations_pruned += 1
-                                continue
-                        elif bound + bound * BOUND_PRUNE_SLACK < best[0]:
-                            result.evaluations_pruned += 1
-                            continue
-                        profit, schedule, port_after = self._profit_of(
-                            entry.ise,
-                            trig,
-                            coverage,
-                            existing_ready,
-                            now,
-                            fg_port_free_at,
-                        )
-                        entry.profit = profit
-                        entry.schedule = schedule
-                        entry.port_after = port_after
-                        entry.fg_sensitive = any(
-                            coverage.get(name, 0) < quantity
-                            for name, quantity in entry.ise.fg_requirements
-                        )
-                        entry.profit_valid = True
-                        result.evaluations_recomputed += 1
-                    if best is None or _beats(
-                        entry.profit, kernel, entry.index, best[0], best[1], best[2]
-                    ):
-                        best = (entry.profit, kernel, entry.index, entry)
-
-            if best is None or best[0] <= 0:
-                for kernel in sorted(pending):
-                    result.selected[kernel] = None
-                    result.profits[kernel] = 0.0
-                break
-
-            profit, kernel, _, winner = best
-            ise = winner.ise
-            result.selected[kernel] = ise
-            result.profits[kernel] = profit
-            if ise.covered_by(snapshot):
-                result.covered_free.append(kernel)
-            charge = reservation_charge(ise, reserved, exempt)
-            for fabric in FabricType:
-                free[fabric] -= charge[fabric]
-            raised_reservations = {
-                name
-                for name, quantity, _, _ in ise.instance_rows
-                if quantity > reserved.get(name, 0)
-            }
-            apply_reservation(ise, reserved)
-            changed_coverage = self._commit_coverage(
-                ise, winner.schedule, coverage, existing_ready, now
-            )
-
-            # The naive selector assigns the winner's freshly computed
-            # ``port_after``.  The cached value is only that fresh value for
-            # FG-sensitive winners (which the port-move rule below keeps
-            # valid); a winner without uncovered FG instances never advanced
-            # the port, so its commit clamps the backlog to ``now`` exactly
-            # as ``predict_recT`` would have.
-            effective_before = max(float(now), fg_port_free_at)
-            if winner.fg_sensitive:
-                fg_port_free_at = winner.port_after
-            else:
-                fg_port_free_at = effective_before
-            # Ordering comparison instead of float !=: a valid FG-sensitive
-            # entry was computed against the current backlog (port moves
-            # invalidate it), and predict_recT only pushes the port forward
-            # from max(now, backlog), so fg_port_free_at >= effective_before
-            # always -- "moved" is exactly "strictly later".
-            port_moved = fg_port_free_at > effective_before
-
-            pending.discard(kernel)
-            del entries[kernel]
-            del scan_order[kernel]
-
-            # Invalidate exactly what the commit perturbed, via the
-            # library's precompiled inverted index:
-            # (a) charges of candidates touching a data path whose
-            #     *reservation* rose (shared paths are charged once);
-            # (b) profits of candidates touching a data path whose coverage
-            #     or predicted ready time actually *changed*;
-            # (c) if the FG bitstream port moved, profits of candidates
-            #     whose schedule queues behind it (uncovered FG instances).
-            for other_kernel, index in self.library.ises_sharing(
-                raised_reservations
-            ):
-                kernel_entries = entries.get(other_kernel)
-                if kernel_entries is not None:
-                    entry = kernel_entries[index]
-                    if entry.charge_valid:
-                        entry.charge_valid = False
-                        result.invalidations += 1
-            for other_kernel, index in self.library.ises_sharing(changed_coverage):
-                kernel_entries = entries.get(other_kernel)
-                if kernel_entries is not None:
-                    entry = kernel_entries[index]
-                    if entry.profit_valid:
-                        entry.profit_valid = False
-                        result.invalidations += 1
-            if port_moved:
-                for kernel_entries in entries.values():
-                    for entry in kernel_entries:
-                        if entry.profit_valid and entry.fg_sensitive:
-                            entry.profit_valid = False
-                            result.invalidations += 1
-
-        return result
-
     # ----------------------------------------------------------- packed
     def _select_packed(
         self,
@@ -654,40 +427,55 @@ class ISESelector:
         controller: ReconfigurationController,
         now: int,
     ) -> SelectionResult:
-        """The incremental algorithm over the structure-of-arrays packing.
+        """Fig. 6 with round-to-round profit caching, over packed arrays.
 
-        Round structure, caching, invalidation and tie-breaks are a line-
-        for-line transcription of :meth:`_select_incremental`; the only
-        difference is the data layout.  Implementation names are interned
-        ids, candidates are global ``cid`` indices into the library's
-        packed arrays, and the working state lives in flat arrays:
+        Each round scans the pending kernels in name order and each
+        kernel's candidates in descending profit-upper-bound order
+        (``scan_cids``).  A candidate's reservation charge and its
+        ``(profit, schedule, port_after)`` are cached across rounds; a
+        cached profit counts as a logical evaluation served from the cache
+        (``evaluations_skipped``).  An uncached candidate whose static
+        bound (``executions * cand_bound``, widened by
+        :data:`BOUND_PRUNE_SLACK`) cannot beat the running argmax -- or,
+        with no argmax yet, is not positive -- is pruned without computing
+        Eqs. 2-4.  The argmax uses the explicit :func:`_beats` tie-break,
+        so scan order cannot change the winner.
 
-        * ``coverage`` / ``ready_has``+``ready_val`` / ``reserved`` /
-          ``exempt`` -- per implementation id (``ready_has`` models dict
-          *presence*: ``predict_recT`` defaults a missing ready time to
-          ``float(now)``, the commit defaults it to ``0.0``);
-        * charge / profit / schedule / validity caches -- per ``cid``
-          (:class:`_CandidateEntry` exploded into parallel arrays).
+        Committing a winner invalidates exactly what it perturbed, via the
+        packed inverted index ``users_cids`` (implementation id -> the
+        candidates using it):
 
-        Names configured on the fabric but absent from every candidate row
-        (e.g. monoCG context loads) are not interned; dropping them is
-        safe because coverage, reservations and exemptions are only ever
-        read for candidate instance rows.  Per-impl invalidation loops may
-        visit a candidate once per shared data path where the object model
-        visits each member of the ``ises_sharing`` set once, but the
-        validity flag is cleared on the first visit, so ``invalidations``
-        counts identically.
+        * charges of candidates sharing a data path whose *reservation*
+          rose (shared paths are charged once);
+        * profits of candidates sharing a data path whose coverage or
+          predicted ready time actually *changed*;
+        * if the FG bitstream port moved, profits of candidates whose
+          schedule queues behind it (uncovered FG instances).
+
+        The winner's commit moves the port to its cached ``port_after``
+        only when it is FG-sensitive; otherwise the backlog clamps to
+        ``now`` exactly as ``predict_recT`` would.
+
+        Implementation names are interned ids and candidates are global
+        ``cid`` indices into the library's packed arrays.  The working
+        state lives in flat arrays: ``coverage`` / ``ready_has`` +
+        ``ready_val`` / ``reserved`` / ``exempt`` per implementation id
+        (``ready_has`` models dict *presence*: ``predict_recT`` defaults a
+        missing ready time to ``float(now)``, the commit defaults it to
+        ``0.0``), and the charge / profit / schedule / validity caches per
+        ``cid``.  Names configured on the fabric but absent from every
+        candidate row (e.g. monoCG context loads) are not interned;
+        dropping them is safe because coverage, reservations and
+        exemptions are only ever read for candidate instance rows.
 
         A subclass overriding :meth:`_profit_of` (the RISPP baseline's
         quantised cost function) gets that hook called with
         :class:`_ImplView` views of ``coverage`` and the ready times in
-        place of the inline ``predict_recT`` + ``profit_value``
-        transcription, so every mode honours the override.
+        place of the inline ``predict_recT`` + ``profit_value`` arithmetic.
         """
         result = SelectionResult(mode="packed")
         packed = self._packed
-        if packed is None:
-            packed = self._packed = pack_library(self.library)
+        assert packed is not None  # built at construction in packed mode
 
         impl_ids = packed.impl_ids
         kernel_cids = packed.kernel_cids
@@ -909,8 +697,9 @@ class ISESelector:
                 impl = row_impl[r]
                 if row_qty[r] > reserved[impl]:
                     reserved[impl] = row_qty[r]
-            # _commit_coverage over the arrays; rows list each impl once, so
-            # a per-row changed flag reproduces the changed-name set.
+            # _commit_coverage over the arrays, collecting the implementations
+            # whose coverage or ready time actually *changed* -- the exact
+            # inputs a cached profit depends on (rows list each impl once).
             winner_schedule = schedule_arr[cid]
             assert winner_schedule is not None
             changed_coverage: List[int] = []
@@ -992,7 +781,7 @@ def _beats(
     """The deterministic argmax order: higher profit wins; equal profits
     resolve by ``(kernel name, candidate index)`` ascending.  This makes the
     historical ``sorted(pending)``-iteration tie-break explicit, so the
-    incremental argmax cannot silently reorder ties.
+    packed argmax cannot silently reorder ties.
 
     Only ordering comparisons: ties are the fall-through case, so the
     tie-break needs no float ``==`` -- both selector implementations compute

@@ -17,7 +17,7 @@ This module turns that shape into infrastructure:
   bit-identical to a serial run.
 * **Construction memoisation.**  Applications are memoised per
   ``(workload, seed, workload_params)`` and compiled ISE libraries (with
-  their precompiled ``instance_rows``/``footprint_index`` structures) per
+  their precompiled ``instance_rows`` and packed-array structures) per
   ``(workload, budget, workload_params, budget_params)``, so a fig8-style
   grid performs one application build per seed and one library compile per
   budget instead of one of each per cell.  The memoised objects are
@@ -38,7 +38,7 @@ import json
 import os
 import tempfile
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -799,7 +799,7 @@ def _library(
 ):
     """The compiled ISE library of one (workload, budget, params) point,
     memoised per process -- reuse keeps the precompiled ``instance_rows``
-    / ``footprint_index`` structures warm across cells.  The one
+    and packed-array structures warm across cells.  The one
     construction path of both :func:`execute_cell` and
     :func:`library_fingerprint`; ``retain=False`` reuses a memoised
     library but never adds one (see :func:`library_fingerprint`)."""
@@ -918,33 +918,14 @@ class EngineStats:
     blocks_compressed: int = 0   #: binary frames the adaptive codec deflated
 
     def reset(self) -> None:
-        self.cells = self.unique_cells = self.cache_hits = self.executed = 0
-        self.applications_built = self.libraries_built = 0
-        self.builds_saved = self.frames_sent = self.worker_restarts = 0
-        self.remote_cache_hits = self.jobs_completed = 0
-        self.bytes_sent = self.bytes_received = 0
-        self.frames_coalesced = self.blocks_compressed = 0
+        for counter in fields(self):
+            setattr(self, counter.name, counter.default)
 
     def engine_payload(self) -> Dict[str, object]:
-        """The sweep-engine counters as a JSON-able dict -- never merged
-        into cell records, so golden payloads stay backend-independent."""
-        return {
-            "cells": self.cells,
-            "unique_cells": self.unique_cells,
-            "cache_hits": self.cache_hits,
-            "executed": self.executed,
-            "applications_built": self.applications_built,
-            "libraries_built": self.libraries_built,
-            "builds_saved": self.builds_saved,
-            "frames_sent": self.frames_sent,
-            "worker_restarts": self.worker_restarts,
-            "remote_cache_hits": self.remote_cache_hits,
-            "jobs_completed": self.jobs_completed,
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-            "frames_coalesced": self.frames_coalesced,
-            "blocks_compressed": self.blocks_compressed,
-        }
+        """The sweep-engine counters as a JSON-able dict, in field order --
+        never merged into cell records, so golden payloads stay
+        backend-independent."""
+        return {counter.name: getattr(self, counter.name) for counter in fields(self)}
 
 
 class SweepEngine:

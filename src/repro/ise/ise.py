@@ -45,7 +45,8 @@ class ISE:
 
     ``footprint``
         Frozen set of qualified implementation names this ISE touches --
-        the key the selector's inverted index and invalidation sets use.
+        what data-path sharing tests and the packed selector's inverted
+        index are built from.
     ``instance_rows``
         Flattened ``(impl_name, quantity, fabric, reconfig_cycles)`` tuples
         in reconfiguration order, saving attribute chains in the hot loop.
@@ -59,7 +60,7 @@ class ISE:
         (Eqs. 2-4) distribute at most ``e`` executions over the levels,
         ``e * profit_bound_per_execution`` upper-bounds the profit for any
         schedule in real arithmetic (the *computed* float profit can exceed
-        it by a few ulps of summation rounding), which lets the incremental
+        it by a few ulps of summation rounding), which lets the packed
         selector prune candidates that cannot beat the current argmax
         without evaluating them (with a relative slack covering the
         rounding -- see ``selector.BOUND_PRUNE_SLACK``).

@@ -22,9 +22,7 @@ Two interchangeable execution engines drive the kernel loop:
   (:attr:`~repro.sim.policy.RuntimePolicy.regimes`) are served inline with
   LRU touches deferred, misses go through
   :meth:`~repro.sim.policy.RuntimePolicy.execute_run`, and steady-state
-  iteration suffixes fold in one pass of prefix-sum arithmetic.  The
-  selector switches to its packed candidate arrays through the policy's
-  ``enable_packed`` hook.
+  iteration suffixes fold in one pass of prefix-sum arithmetic.
 
 Both engines produce byte-identical statistics and traces (see
 docs/simulator.md for the equivalence argument); pick one explicitly via
@@ -143,9 +141,6 @@ class Simulator:
                 )
             }
             run_kernels = self._run_kernels_packed
-            enable_packed = getattr(self.policy, "enable_packed", None)
-            if enable_packed is not None:
-                enable_packed()
         else:
             run_kernels = self._run_kernels_stepped
 

@@ -558,12 +558,40 @@ class TestInvariantCheckers:
                 "class ISESelector:\n"
                 "    def _select_naive(self, triggers, controller, now):\n"
                 "        pass\n"
-                "    def _select_incremental(self, triggers, controller):\n"
+                "    def _select_packed(self, triggers, controller):\n"
                 "        pass\n"
             )
         }
         rules = {f.rule for f in run_invariants(sources)}
         assert "dual-impl-signature" in rules
+
+    def test_fields_derived_engine_payload_leak_detected(self):
+        """An ``engine_payload`` built from ``dataclasses.fields(self)``
+        emits every counter field; one shadowing a golden key is caught."""
+        from repro.analysis.lint import run_invariants
+
+        sources = {
+            "sim/stats.py": (
+                "class SimulationStats:\n"
+                "    def to_payload(self):\n"
+                "        return {'total_cycles': 1}\n"
+            ),
+            "experiments/engine.py": (
+                "from dataclasses import dataclass, fields\n"
+                "@dataclass\n"
+                "class EngineStats:\n"
+                "    cells: int = 0\n"
+                "    total_cycles: int = 0\n"
+                "    def engine_payload(self):\n"
+                "        return {f.name: getattr(self, f.name)\n"
+                "                for f in fields(self)}\n"
+            ),
+        }
+        findings = run_invariants(sources)
+        assert any(
+            f.rule == "engine-stats-exclusion" and "total_cycles" in f.message
+            for f in findings
+        )
 
     def test_missing_dual_impl_detected(self):
         from repro.analysis.lint import run_invariants

@@ -15,6 +15,7 @@ from repro.core.mrts import MRTS
 from repro.experiments import engine as engine_module
 from repro.experiments.engine import (
     POLICIES,
+    EngineStats,
     SweepCell,
     SweepEngine,
     cell_key,
@@ -157,6 +158,41 @@ class TestCache:
         eng = SweepEngine(jobs=1, use_cache=False, cache_dir=tmp_path / "c")
         eng.run([SweepCell.make((1, 1), 0, "risc", workload_params=FAST)])
         assert not (tmp_path / "c").exists()
+
+
+class TestEngineStats:
+    #: The engine_payload key order stored in result-store manifests and
+    #: printed by ``sweep --verbose``.
+    PAYLOAD_KEYS = [
+        "cells",
+        "unique_cells",
+        "cache_hits",
+        "executed",
+        "applications_built",
+        "libraries_built",
+        "builds_saved",
+        "frames_sent",
+        "worker_restarts",
+        "remote_cache_hits",
+        "jobs_completed",
+        "bytes_sent",
+        "bytes_received",
+        "frames_coalesced",
+        "blocks_compressed",
+    ]
+
+    def test_payload_keys_and_order_are_pinned(self):
+        assert list(EngineStats().engine_payload()) == self.PAYLOAD_KEYS
+
+    def test_reset_zeroes_every_counter(self):
+        stats = EngineStats()
+        for index, key in enumerate(self.PAYLOAD_KEYS):
+            setattr(stats, key, index + 1)
+        assert list(stats.engine_payload().values()) == list(
+            range(1, len(self.PAYLOAD_KEYS) + 1)
+        )
+        stats.reset()
+        assert stats.engine_payload() == dict.fromkeys(self.PAYLOAD_KEYS, 0)
 
 
 class TestRunSweepRouting:

@@ -103,8 +103,8 @@ def _assert_library_round_trip(library):
         assert packed.kernel_cids[kernel_name] == tuple(
             range(cid, cid + len(candidates))
         )
-        # The baked-in scan order is the per-call sort the incremental
-        # selector performs: by (-profit bound, candidate index).
+        # The baked-in scan order is the selector's bound-pruning order:
+        # by (-profit bound, candidate index).
         assert packed.scan_cids[kernel_name] == tuple(
             sorted(
                 packed.kernel_cids[kernel_name],
@@ -134,9 +134,8 @@ def _assert_library_round_trip(library):
             cid += 1
     assert packed.n_candidates == cid
 
-    # The inverted index is ISELibrary.ises_sharing, candidate-id shaped:
-    # every interned implementation maps to exactly the candidates whose
-    # footprint contains it.
+    # The inverted index: every interned implementation maps to exactly
+    # the candidates whose footprint contains it.
     for impl_id, impl_name in enumerate(packed.impl_names):
         expected = tuple(
             c

@@ -165,35 +165,68 @@ class TestGoldenWorkloads:
         assert stats.executions_fastforwarded > 0
 
 
-# ------------------------------------------------- selector hand-off
+# ------------------------------------------------------ selector modes
 
 
-class TestSelectorHandoff:
-    def test_packed_engine_swaps_default_selector(self):
+def _selection_modes(result):
+    """The ``SelectionResult.mode`` of every selection the run made."""
+    return {record.mode for record in result.trace.selections}
+
+
+class TestSelectorModeHonoured:
+    """The asked-for selector is the one that runs, under either engine;
+    unasked, every ``ISESelector`` -- subclasses included -- runs
+    ``packed``."""
+
+    @pytest.mark.parametrize("engine", ENGINE_MODES)
+    @pytest.mark.parametrize("mode", SELECTOR_MODES)
+    def test_explicit_mode_runs(self, mode, engine):
         application, budget, make_library = _deblocking_scenario()
-        policy = MRTS()
-        Simulator(
-            application, make_library(), budget, policy, engine="packed"
-        ).run()
+        policy = MRTS(MRTSConfig(selector_mode=mode))
+        result = _run(
+            application, budget, make_library, lambda: policy, engine
+        )
+        assert policy.selector.mode == mode
+        assert _selection_modes(result) == {mode}
+
+    @pytest.mark.parametrize("engine", ENGINE_MODES)
+    def test_rispp_selector_runs_packed_by_default(self, engine, monkeypatch):
+        from repro.baselines import QuantizedProfitSelector
+
+        monkeypatch.delenv(SELECTOR_MODE_ENV, raising=False)
+        application, budget, make_library = _deblocking_scenario()
+        policy = RisppLikePolicy()
+        result = _run(
+            application, budget, make_library, lambda: policy, engine
+        )
+        assert type(policy.selector) is QuantizedProfitSelector
         assert policy.selector.mode == "packed"
+        assert _selection_modes(result) == {"packed"}
 
-    def test_explicit_selector_mode_is_honoured(self):
-        """``enable_packed`` only upgrades the default incremental mode:
-        a user pinning the naive selector keeps it under REPRO_SIM=packed."""
-        application, budget, make_library = _deblocking_scenario()
-        policy = MRTS(MRTSConfig(selector_mode="naive"))
-        Simulator(
-            application, make_library(), budget, policy, engine="packed"
-        ).run()
-        assert policy.selector.mode == "naive"
+    def test_optimal_greedy_plan_runs_packed_by_default(self, monkeypatch):
+        from repro.core import optimal as optimal_module
+        from repro.core.optimal import OptimalSelector
+        from repro.core.selector import ISESelector
+        from repro.fabric.reconfig import ReconfigurationController
 
-    def test_stepped_engine_keeps_incremental_selector(self):
+        monkeypatch.delenv(SELECTOR_MODE_ENV, raising=False)
+        modes = []
+
+        class RecordingSelector(ISESelector):
+            def select(self, triggers, controller, now):
+                result = super().select(triggers, controller, now)
+                modes.append(result.mode)
+                return result
+
+        monkeypatch.setattr(optimal_module, "ISESelector", RecordingSelector)
         application, budget, make_library = _deblocking_scenario()
-        policy = MRTS()
-        Simulator(
-            application, make_library(), budget, policy, engine="stepped"
-        ).run()
-        assert policy.selector.mode == "incremental"
+        block = application.blocks[0]
+        OptimalSelector(make_library()).select(
+            application.profiled_triggers(block.name),
+            ReconfigurationController(budget),
+            0,
+        )
+        assert modes == ["packed"]
 
 
 # ----------------------------------------------- policy x budget grid
@@ -394,8 +427,6 @@ class TestEngineResolution:
         result = Simulator(
             application, make_library(), budget, policy, collect_trace=True
         ).run()
-        # Only the packed engine swaps the selector implementation.
-        assert policy.selector.mode == "packed"
         assert result.stats.executions_fastforwarded > 0
 
 
