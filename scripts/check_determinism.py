@@ -8,9 +8,9 @@ Seven checks, all byte-level:
 2. **Fresh == cached**: re-running the same sweep against the cache it
    just populated must serialise identically.
 3. **Backends agree**: the same sweep routed through every registered
-   executor backend (serial, pool, a distributed coordinator with
-   ``--workers`` local socket workers, and a self-hosted sweep-service
-   daemon) must serialise identically.
+   executor backend (serial, pool, and a self-hosted sweep-service
+   daemon with ``--workers`` local socket workers) must serialise
+   identically.
 4. **Service golden cells**: the committed golden scenarios, expressed as
    sweep cells and routed through ``--backend service``, must serialise
    identically to the serial backend.
@@ -18,11 +18,11 @@ Seven checks, all byte-level:
    streamed through a columnar ``ResultWriter`` and read back from the
    committed shards must serialise identically to the in-memory serial
    records -- the ``--store`` path must never alter a byte.
-6. **Wire modes**: the reference sweep through the ``distributed`` and
-   ``service`` backends under both ``$REPRO_WIRE`` encodings (plain JSON
-   frames and the binary columnar wire) must serialise identically to
-   serial, with the transport counters proving each leg exercised its
-   own path.
+6. **Wire modes**: the reference sweep through the ``service`` backend
+   under both ``$REPRO_WIRE`` encodings (plain JSON frames and the
+   binary columnar wire, on both the client and the worker connections)
+   must serialise identically to serial, with the transport counters
+   proving each leg exercised its own path.
 7. **Golden traces**: every committed reference snapshot under
    ``tests/golden/`` (H.264 deblocking and the JPEG encoder) must match a
    fresh simulation exactly -- under both ``REPRO_SIM`` engines (the
@@ -134,7 +134,7 @@ def check_backends(jobs: int, workers: int) -> Dict[str, object]:
             jobs=jobs if name == "pool" else 1,
             use_cache=False,
             backend=name,
-            workers=workers if name in ("distributed", "service") else None,
+            workers=workers if name == "service" else None,
         )
         serialised[name] = json.dumps(engine.run(cells))
         stats[name] = (
@@ -241,14 +241,15 @@ def check_store_roundtrip() -> Dict[str, object]:
 
 
 def check_wire_modes(workers: int) -> Dict[str, object]:
-    """Both wire encodings, through both socket backends, must stay
+    """Both wire encodings through the service backend must stay
     byte-identical to serial.
 
     ``$REPRO_WIRE`` is forced to each mode in turn (and restored after),
-    and the transport counters prove each leg actually exercised its
-    path: the binary legs must have compressed at least one envelope --
-    with the service leg also coalescing result blocks -- while the JSON
-    legs must show no binary activity at all.
+    so the self-hosted daemon, its synchronous workers and the client
+    all speak that encoding, and the transport counters prove each leg
+    actually exercised its path: the binary leg must have compressed at
+    least one envelope and coalesced result blocks, while the JSON leg
+    must show no binary activity at all.
     """
     import os
 
@@ -260,39 +261,36 @@ def check_wire_modes(workers: int) -> Dict[str, object]:
     try:
         for mode in ("json", "binary"):
             os.environ["REPRO_WIRE"] = mode
-            for backend in ("distributed", "service"):
-                engine = SweepEngine(
-                    use_cache=False, backend=backend, workers=workers
+            engine = SweepEngine(
+                use_cache=False, backend="service", workers=workers
+            )
+            blob = json.dumps(engine.run(cells))
+            leg = f"service/{mode}"
+            stats = engine.stats
+            if blob != serial:
+                failures.append(f"{leg}: records differ from serial")
+                continue
+            if mode == "binary":
+                if stats.blocks_compressed == 0:
+                    failures.append(
+                        f"{leg}: no compressed envelopes -- binary "
+                        f"wire not exercised"
+                    )
+                if stats.frames_coalesced == 0:
+                    failures.append(
+                        f"{leg}: no coalesced result frames -- block "
+                        f"path not exercised"
+                    )
+            elif stats.blocks_compressed or stats.frames_coalesced:
+                failures.append(
+                    f"{leg}: binary counters nonzero on the JSON wire"
                 )
-                blob = json.dumps(engine.run(cells))
-                leg = f"{backend}/{mode}"
-                stats = engine.stats
-                if blob != serial:
-                    failures.append(f"{leg}: records differ from serial")
-                    continue
-                if mode == "binary":
-                    if stats.blocks_compressed == 0:
-                        failures.append(
-                            f"{leg}: no compressed envelopes -- binary "
-                            f"wire not exercised"
-                        )
-                    if backend == "service" and stats.frames_coalesced == 0:
-                        failures.append(
-                            f"{leg}: no coalesced result frames -- block "
-                            f"path not exercised"
-                        )
-                else:
-                    if stats.blocks_compressed or stats.frames_coalesced:
-                        failures.append(
-                            f"{leg}: binary counters nonzero on the JSON "
-                            f"wire"
-                        )
-                details.append(
-                    f"{leg}: {stats.bytes_sent}B out, "
-                    f"{stats.bytes_received}B in, "
-                    f"{stats.frames_coalesced} coalesced, "
-                    f"{stats.blocks_compressed} compressed"
-                )
+            details.append(
+                f"{leg}: {stats.bytes_sent}B out, "
+                f"{stats.bytes_received}B in, "
+                f"{stats.frames_coalesced} coalesced, "
+                f"{stats.blocks_compressed} compressed"
+            )
     finally:
         if saved is None:
             os.environ.pop("REPRO_WIRE", None)
@@ -354,8 +352,8 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=4,
                         help="pool width for the parallel leg (default 4)")
     parser.add_argument("--workers", type=int, default=2,
-                        help="socket workers for the distributed leg "
-                             "(default 2)")
+                        help="socket workers of the self-hosted service "
+                             "legs (default 2)")
     parser.add_argument("--skip-engine", action="store_true",
                         help="only check the golden trace")
     parser.add_argument("--update-golden", action="store_true",

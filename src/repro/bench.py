@@ -14,7 +14,7 @@ sweep -- all doubling as regression gates:
   :data:`SIM_REDUCTION_THRESHOLD` times less often, and it must beat the
   stepped engine's per-cell wall clock by at least
   :data:`PACKED_SPEEDUP_THRESHOLD` (``BENCH_sim.json``).
-* ``engine`` -- serial vs. pool vs. distributed sweep executor backends:
+* ``engine`` -- serial vs. pool vs. service sweep executor backends:
   cell records must be byte-identical across all three, and the per-worker
   construction memos must cut application builds + library compiles by at
   least :data:`ENGINE_REDUCTION_THRESHOLD` on the serial backend
@@ -22,8 +22,9 @@ sweep -- all doubling as regression gates:
 * ``service`` -- the always-on sweep daemon vs. one-shot fleets: four
   concurrent submissions of the same sweep through one ``repro serve``
   daemon must finish at least :data:`SERVICE_THROUGHPUT_THRESHOLD` times
-  faster in aggregate than the same four sweeps run sequentially through
-  one-shot distributed backends, byte-identical to serial throughout
+  faster in aggregate than the same four sweeps run sequentially, each
+  through a fresh self-hosted ``service`` backend (a one-shot daemon and
+  fleet per sweep), byte-identical to serial throughout
   (``BENCH_service.json``).  The win comes from sharing one worker fleet
   and serving repeats from the in-flight table and the network store.
   A second phase replays store-served jobs over both wire encodings:
@@ -87,11 +88,11 @@ PACKED_SPEEDUP_THRESHOLD_QUICK = 2.0
 ENGINE_REDUCTION_THRESHOLD = 3.0
 
 #: Backends exercised by the engine suite, reference first.
-ENGINE_BACKENDS = ("serial", "pool", "distributed")
+ENGINE_BACKENDS = ("serial", "pool", "service")
 
 #: Minimum aggregate-throughput factor of N concurrent sweeps through the
 #: always-on daemon over the same N sweeps run sequentially through
-#: one-shot distributed fleets (the service suite's gate).
+#: one-shot self-hosted service fleets (the service suite's gate).
 SERVICE_THROUGHPUT_THRESHOLD = 1.5
 
 #: Synthetic cells the store suite streams (full / quick tiers).
@@ -129,11 +130,13 @@ WIRE_THROUGHPUT_THRESHOLD = 1.3
 #: the streamed result traffic dominates the fixed handshake/accept cost.
 WIRE_TILE = 200
 
-#: Store-served repeat jobs per wire mode.  The throughput gate compares
-#: the *fastest* job per mode: identical work each time means the min is
-#: the transport cost and everything above it is scheduler/housekeeping
-#: noise that would otherwise need many more repetitions to average out.
-WIRE_JOBS = 3
+#: Store-served repeat jobs per wire mode, timed in rounds of one job
+#: per mode (json then binary, then binary then json, ...).  The
+#: throughput gate takes the median over rounds of the round's
+#: json/binary wall ratio: the two jobs of a round run back to back
+#: under the same host conditions, so a slow spell of the host cancels
+#: out instead of landing on one mode's fastest job.
+WIRE_JOBS = 16
 
 
 def run_selector_bench(
@@ -348,7 +351,7 @@ def run_engine_bench(
             jobs=2 if name == "pool" else 1,
             use_cache=False,
             backend=name,
-            workers=2 if name == "distributed" else None,
+            workers=2 if name == "service" else None,
         )
         started = time.perf_counter()
         payloads[name] = eng.run(cells)
@@ -395,8 +398,9 @@ def run_service_bench(
     """Benchmark the always-on daemon against one-shot fleets.
 
     Sequential leg: :data:`SERVICE_SWEEPS` identical sweeps, each through
-    a fresh one-shot distributed backend (spawn fleet, handshake, sweep,
-    tear down -- the pre-service cost of N submitters).  Service leg: one
+    a fresh self-hosted ``service`` backend with two workers (start a
+    private daemon, spawn its fleet, handshake, sweep, drain -- the cost
+    of N submitters without a shared daemon).  Service leg: one
     thread-embedded daemon (startup included in the measured wall), the
     same sweeps submitted concurrently; repeats are served from the
     in-flight table and the shared store instead of recomputing.  All
@@ -404,16 +408,17 @@ def run_service_bench(
 
     Wire phase: a fresh daemon's store is seeded with the grid once,
     then :data:`WIRE_JOBS` store-served repeat jobs of
-    :data:`WIRE_TILE`-tiled payloads run through a direct
-    :class:`~repro.service.client.ServiceClient` per wire mode -- plain
-    JSON frames versus the negotiated binary columnar wire.  The server
-    does no compute either way, so the legs isolate the transport: the
-    binary wire must cut client-side bytes by
-    :data:`WIRE_BYTES_THRESHOLD` and, comparing each mode's fastest
-    job, lift throughput by :data:`WIRE_THROUGHPUT_THRESHOLD` --
-    byte-identical throughout.
+    :data:`WIRE_TILE`-tiled payloads per wire mode run in alternating
+    rounds through two direct :class:`~repro.service.client.ServiceClient`
+    connections -- plain JSON frames versus the negotiated binary
+    columnar wire.  The server does no compute either way, so the legs
+    isolate the transport: the binary wire must cut client-side bytes
+    by :data:`WIRE_BYTES_THRESHOLD` and, in the median round, lift job
+    throughput by :data:`WIRE_THROUGHPUT_THRESHOLD` -- byte-identical
+    throughout.
     """
     import shutil
+    import statistics
     import tempfile
     from concurrent.futures import ThreadPoolExecutor
 
@@ -444,7 +449,7 @@ def run_service_bench(
     started = time.perf_counter()
     sequential_identical = True
     for _ in range(SERVICE_SWEEPS):
-        eng = SweepEngine(use_cache=False, backend="distributed", workers=2)
+        eng = SweepEngine(use_cache=False, backend="service", workers=2)
         sequential_identical &= eng.run(cells) == reference
     sequential_wall = time.perf_counter() - started
 
@@ -503,40 +508,56 @@ def run_service_bench(
             with ServiceClient(handle.coordinator) as seeder:
                 seeded, _ = seeder.run_job(payloads)
             wire_identical &= seeded == reference
-            for mode in ("json", "binary"):
-                client = ServiceClient(
-                    handle.coordinator, wire_encoding=mode
-                )
-                with client:
-                    # One untimed warmup job settles allocator and
-                    # event-loop state; the cyclic collector is paused
-                    # over the timed window so a collection triggered by
-                    # earlier phases' garbage does not land on one leg.
-                    records, _counters = client.run_job(tiled)
+            modes = ("json", "binary")
+            clients = {
+                mode: ServiceClient(handle.coordinator, wire_encoding=mode)
+                for mode in modes
+            }
+            walls: Dict[str, List[float]] = {mode: [] for mode in modes}
+            try:
+                # One untimed warmup job per mode settles allocator and
+                # event-loop state; the cyclic collector is paused over
+                # the timed window so a collection triggered by earlier
+                # phases' garbage does not land on one leg.
+                for mode in modes:
+                    records, _counters = clients[mode].run_job(tiled)
                     wire_identical &= records == expected
-                    before = client.wire_stats.snapshot()
-                    gc.collect()
-                    gc.disable()
-                    walls = []
-                    try:
-                        for _ in range(WIRE_JOBS):
-                            started = time.perf_counter()
-                            records, _counters = client.run_job(tiled)
-                            walls.append(time.perf_counter() - started)
-                            wire_identical &= records == expected
-                    finally:
-                        gc.enable()
-                    after = client.wire_stats.snapshot()
-                snap = {
-                    name: after[name] - before[name] for name in after
+                before = {
+                    mode: clients[mode].wire_stats.snapshot()
+                    for mode in modes
                 }
-                wire_modes[mode] = dict(
-                    snap,
-                    wall_seconds=round(min(walls), 4),
-                    total_wall_seconds=round(sum(walls), 4),
-                    wire_bytes=snap["bytes_sent"] + snap["bytes_received"],
-                    jobs=WIRE_JOBS,
-                )
+                gc.collect()
+                gc.disable()
+                try:
+                    for round_index in range(WIRE_JOBS):
+                        # Alternate which mode goes first, so neither
+                        # always follows the other's garbage.
+                        order = modes if round_index % 2 == 0 else modes[::-1]
+                        for mode in order:
+                            started = time.perf_counter()
+                            records, _counters = clients[mode].run_job(tiled)
+                            walls[mode].append(time.perf_counter() - started)
+                            wire_identical &= records == expected
+                finally:
+                    gc.enable()
+                for mode in modes:
+                    after = clients[mode].wire_stats.snapshot()
+                    snap = {
+                        name: after[name] - before[mode][name]
+                        for name in after
+                    }
+                    wire_modes[mode] = dict(
+                        snap,
+                        wall_seconds=round(min(walls[mode]), 4),
+                        total_wall_seconds=round(sum(walls[mode]), 4),
+                        wire_bytes=(
+                            snap["bytes_sent"] + snap["bytes_received"]
+                        ),
+                        jobs=WIRE_JOBS,
+                    )
+            finally:
+                for client in clients.values():
+                    client.close()
         finally:
             handle.stop()
     finally:
@@ -547,10 +568,12 @@ def run_service_bench(
     bytes_reduction = (
         json_bytes / binary_bytes if binary_bytes else float("inf")
     )
-    binary_wall = wire_modes["binary"]["wall_seconds"]
-    wire_throughput = (
-        wire_modes["json"]["wall_seconds"] / binary_wall
-        if binary_wall else float("inf")
+    # Each round timed one job per mode back to back, so a round's ratio
+    # compares the modes under the same host conditions; the median
+    # round discards the rounds a slow spell split unevenly.
+    wire_throughput = statistics.median(
+        json_wall / binary_wall if binary_wall else float("inf")
+        for json_wall, binary_wall in zip(walls["json"], walls["binary"])
     )
     return {
         "benchmark": "service",
@@ -684,7 +707,7 @@ def render_service(payload: Dict[str, object]) -> str:
         ),
         f"  wire bytes: {payload['wire_bytes_reduction']}x smaller "
         f"(threshold {payload['wire_bytes_threshold']}x); wire "
-        f"throughput: {payload['wire_throughput_factor']}x "
+        f"throughput: {payload['wire_throughput_factor']}x median round "
         f"(threshold {payload['wire_throughput_threshold']}x)",
     ])
 
@@ -738,7 +761,7 @@ def check_engine_gate(payload: Dict[str, object]) -> List[str]:
     """The regression conditions of the engine suite (empty = pass): every
     backend must produce byte-identical cell records, and the construction
     memos must cut builds by at least the threshold factor on the serial
-    backend (the pool/distributed backends split the memo across worker
+    backend (the pool/service backends split the memo across worker
     processes, so only the serial counters are deterministic)."""
     failures = []
     if not payload["identical_results"]:
@@ -763,8 +786,8 @@ def check_service_gate(payload: Dict[str, object]) -> List[str]:
     failures = []
     if not payload["identical_results"]:
         failures.append(
-            "service or distributed sweeps diverged from the serial "
-            "reference"
+            "sequential or concurrent service sweeps diverged from the "
+            "serial reference"
         )
     throughput = payload["throughput_factor"]
     threshold = payload["throughput_threshold"]

@@ -7,11 +7,13 @@ Two modes, selected by ``--coordinator``:
   its worker fleet, fair scheduler and network-served record store with
   every other submitter.
 * **Self-hosted** (no coordinator): an ephemeral daemon is started on a
-  background thread with local workers and a private temporary store,
-  the job runs against it, and the daemon is drained and the store
-  removed afterwards.  This keeps ``--backend service`` usable in tests
-  and determinism gates without external processes -- and without ever
-  touching the repo's own ``.repro_cache``.
+  background thread with ``workers`` local worker processes and a
+  private temporary store, the job runs against it, and the daemon is
+  drained and the store removed afterwards.  This keeps ``--backend
+  service`` usable in tests and determinism gates without external
+  processes -- and without ever touching the repo's own
+  ``.repro_cache``.  A self-hosted daemon is private, so no external
+  worker can join it: ``workers=0`` is rejected up front.
 
 Either way the records come back keyed by input index and pass through
 the same ``execute_cell`` path as every other backend, so a service
@@ -25,12 +27,23 @@ import shutil
 import tempfile
 
 from repro.experiments.backends.base import ExecutorBackend, merge_counters
+from repro.util.validation import ReproError
 
 
 class ServiceBackend(ExecutorBackend):
     """Submit the sweep as one job to a (possibly ephemeral) daemon."""
 
     name = "service"
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.workers == 0 and not self.coordinator:
+            raise ReproError(
+                "the self-hosted service needs >= 1 local worker; to serve "
+                "a sweep with external workers, start `repro serve "
+                "--workers 0`, join `repro worker`s to it, and pass its "
+                "address as --coordinator"
+            )
 
     def run(self, cells, on_record=None):
         payloads = [cell.payload() for cell in cells]
@@ -39,10 +52,9 @@ class ServiceBackend(ExecutorBackend):
         return self._run_self_hosted(payloads, on_record)
 
     def _run_connected(self, coordinator, payloads, on_record=None):
-        # Imported here, not at module top: repro.service pulls in this
-        # package's __init__ through the shared frame codec, so a
-        # top-level import would be circular when repro.service loads
-        # first.
+        # Imported here, not at module top: the daemon imports this
+        # package's batch planner, so a top-level import would be
+        # circular when repro.service loads first.
         from repro.service.client import ServiceClient
 
         client = ServiceClient(coordinator)
@@ -56,15 +68,12 @@ class ServiceBackend(ExecutorBackend):
         return records
 
     def _run_self_hosted(self, payloads, on_record=None):
-        from repro.service.daemon import SweepService, start_service_thread
+        from repro.service.daemon import start_service_thread
 
-        workers = (
-            self.workers
-            if self.workers is not None
-            else SweepService.DEFAULT_WORKERS
-        )
         cache_dir = tempfile.mkdtemp(prefix="repro-service-")
-        handle = start_service_thread(workers=workers, cache_dir=cache_dir)
+        handle = start_service_thread(
+            workers=self.workers, cache_dir=cache_dir
+        )
         try:
             return self._run_connected(handle.coordinator, payloads, on_record)
         finally:

@@ -1,23 +1,24 @@
 """The socket worker loop (and its ``python -m`` entry point).
 
-A worker dials the coordinator, handshakes (its :data:`ENGINE_SCHEMA` and
-protocol version must match, or it is rejected), then serves batch frames
-until told to shut down.  Every batch's library fingerprint is recomputed
-locally and compared against the coordinator's -- a worker whose checkout
-builds a structurally different ISE library answers with an error frame
-instead of returning records minted from divergent code.
+A worker dials the sweep service daemon (its *coordinator*), handshakes
+(its :data:`ENGINE_SCHEMA` and protocol version must match, or it is
+rejected), then serves batch frames until told to shut down.  Every
+batch's library fingerprint is recomputed locally and compared against
+the daemon's -- a worker whose checkout builds a structurally different
+ISE library answers with an error frame instead of returning records
+minted from divergent code.
 
-Run a remote worker against a coordinator listening on a routable
-address with::
+The daemon spawns its local workers itself; run a worker on another
+host against a ``repro serve`` daemon listening on a routable address
+with::
 
-    python -m repro.experiments.backends.worker --coordinator HOST:PORT
+    python -m repro worker --coordinator HOST:PORT --reconnect
 
-Against the long-lived ``repro serve`` daemon, add ``--reconnect`` and
-the worker survives coordinator restarts: lost connections are redialed
-on a capped exponential backoff schedule (:func:`reconnect_delays`) that
-is deliberately jitter-free -- the fleet is small and a deterministic
-schedule is unit-testable, which this repo values over thundering-herd
-insurance.
+With ``--reconnect`` the worker survives daemon restarts: lost
+connections are redialed on a capped exponential backoff schedule
+(:func:`reconnect_delays`) that is deliberately jitter-free -- the fleet
+is small and a deterministic schedule is unit-testable, which this repo
+values over thundering-herd insurance.
 
 Batch execution funnels through :func:`repro.experiments.engine
 .execute_batch`, so worker-side construction memoisation (one application
@@ -35,13 +36,6 @@ from typing import List, Optional, Tuple
 
 from repro.config_env import wire_mode
 from repro.experiments import engine as engine_module
-from repro.experiments.backends.distributed import (
-    PROTOCOL_VERSION,
-    encode_frame,
-    parse_address,
-    recv_frame,
-    send_frame,
-)
 from repro.service import wire
 from repro.service.frames import (
     BATCH,
@@ -52,6 +46,13 @@ from repro.service.frames import (
     RESULT,
     SHUTDOWN,
     WELCOME,
+)
+from repro.service.protocol import (
+    PROTOCOL_VERSION,
+    encode_frame,
+    parse_address,
+    recv_frame,
+    send_frame,
 )
 from repro.util.validation import ReproError
 
@@ -274,8 +275,8 @@ def main(argv=None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="repro sweep worker: dial a distributed-backend "
-        "coordinator (or the repro serve daemon) and serve cell batches"
+        description="repro sweep worker: dial a repro serve daemon "
+        "and serve cell batches"
     )
     parser.add_argument(
         "--coordinator",

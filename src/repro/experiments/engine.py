@@ -12,9 +12,9 @@ This module turns that shape into infrastructure:
 * **Pluggable fan-out.**  :class:`SweepEngine` dispatches cells through a
   registered executor backend (:mod:`repro.experiments.backends`):
   ``serial`` runs in-process, ``pool`` fans out over a local process pool,
-  ``distributed`` drives socket workers that can span hosts.  Every
-  backend funnels into :func:`execute_cell`, so all of them are
-  bit-identical to a serial run.
+  ``service`` submits the sweep as one job to the sweep daemon, whose
+  socket workers can span hosts.  Every backend funnels into
+  :func:`execute_cell`, so all of them are bit-identical to a serial run.
 * **Construction memoisation.**  Applications are memoised per
   ``(workload, seed, workload_params)`` and compiled ISE libraries (with
   their precompiled ``instance_rows`` and packed-array structures) per
@@ -909,7 +909,7 @@ class EngineStats:
     libraries_built: int = 0     #: ISE libraries compiled across workers
     builds_saved: int = 0        #: constructions avoided by the memos
     frames_sent: int = 0         #: IPC frames dispatched (0 for serial)
-    worker_restarts: int = 0     #: dead distributed workers replaced
+    worker_restarts: int = 0     #: service workers lost mid-batch (batch requeued)
     remote_cache_hits: int = 0   #: cells served by the service's shared store/fleet
     jobs_completed: int = 0      #: service jobs finished on our behalf
     bytes_sent: int = 0          #: transport bytes written to sockets
@@ -952,9 +952,10 @@ class SweepEngine:
         Executor backend name (see :mod:`repro.experiments.backends`).
         ``None`` selects ``"pool"`` when ``jobs > 1``, else ``"serial"``.
     workers / coordinator:
-        Distributed-backend knobs: how many local socket workers to spawn
-        and the ``host:port`` to bind the coordinator on (``None`` binds an
-        ephemeral loopback port).  Ignored by the other backends.
+        Service-backend knobs: how many local socket workers the
+        self-hosted daemon spawns (``None`` = its default of 2), and the
+        ``host:port`` of a running ``repro serve`` daemon to submit to
+        instead (``None`` self-hosts).  Ignored by the other backends.
     """
 
     def __init__(
@@ -975,17 +976,16 @@ class SweepEngine:
                 f"cache_max_bytes must be >= 0, got {cache_max_bytes}"
             )
         if workers is not None and workers < 0:
-            # 0 is coordinator-only mode (external workers join); the
-            # distributed backend validates it against the address.
             raise ReproError(f"workers must be >= 0, got {workers}")
-        if backend is not None:
-            from repro.experiments.backends import BACKENDS
+        from repro.experiments.backends import resolve_backend
 
-            if backend not in BACKENDS:
-                raise ReproError(
-                    f"unknown backend {backend!r}; "
-                    f"registered: {sorted(BACKENDS)}"
-                )
+        # Constructing the backend validates its name and knobs up front,
+        # before any cell is keyed or any daemon started; each run builds
+        # a fresh one so counters never leak between runs.
+        resolve_backend(
+            backend, jobs=jobs, chunk_size=chunk_size, workers=workers,
+            coordinator=coordinator,
+        )
         self.jobs = jobs
         self.cache_dir = Path(
             resolve_cache_dir(cache_dir if cache_dir is None else str(cache_dir))

@@ -104,11 +104,13 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes spawned by the distributed backend",
+        help="worker processes of the self-hosted service daemon "
+        "(--backend service; default 2)",
     )
     parser.add_argument(
         "--coordinator", default=None,
-        help="HOST:PORT the distributed coordinator binds (default loopback)",
+        help="HOST:PORT of a running `repro serve` daemon to submit to "
+        "(--backend service; default: self-host a private daemon)",
     )
     args = parser.parse_args(argv)
     run_all(

@@ -1,18 +1,19 @@
 """The always-on sweep service: an asyncio daemon serving many clients.
 
-The distributed backend's coordinator (:mod:`repro.experiments.backends
-.distributed`) is one-shot -- born and dying with a single sweep.  This
-package promotes it to a long-lived daemon (``repro serve``) that accepts
-many concurrent sweep jobs from many clients over the *same*
-length-prefixed JSON frame protocol, so the existing synchronous socket
-workers join the fleet unchanged:
+This package is the repo's one worker coordinator: a long-lived daemon
+(``repro serve``) that accepts many concurrent sweep jobs from many
+clients and runs them on one fleet of synchronous socket workers
+(``repro worker``), local or on other hosts, all speaking one
+length-prefixed frame protocol.  The ``service`` executor backend
+submits a sweep to a running daemon, or self-hosts a private one:
 
 * :mod:`repro.service.frames` -- the frame-type registry: every wire
   frame type named once, plus the per-channel protocol table the
   conformance checker (``repro analyze``) verifies the endpoints
   against;
-* :mod:`repro.service.protocol` -- the frame codec on
-  ``asyncio.StreamReader/Writer`` (one wire format, two transports);
+* :mod:`repro.service.protocol` -- the frame codec and protocol
+  constants, on blocking sockets and on ``asyncio`` streams (one wire
+  format, two transports);
 * :mod:`repro.service.wire` -- the negotiated binary columnar encoding
   (envelope + adaptive zlib + record blocks) and the coalescing frame
   sender both transports share;

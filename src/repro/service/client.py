@@ -21,12 +21,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.config_env import wire_mode
 from repro.experiments import engine as engine_module
-from repro.experiments.backends.distributed import (
-    PROTOCOL_VERSION,
-    parse_address,
-    recv_frame,
-    send_frame,
-)
 from repro.service import wire
 from repro.service.frames import (
     CACHE_GET,
@@ -46,6 +40,12 @@ from repro.service.frames import (
     REJECT,
     WELCOME,
     WIRE_ACK,
+)
+from repro.service.protocol import (
+    PROTOCOL_VERSION,
+    parse_address,
+    recv_frame,
+    send_frame,
 )
 from repro.util.validation import ReproError
 
@@ -89,6 +89,10 @@ class ServiceClient:
             )
         # Handshake done; job runs can take arbitrarily long.
         self._conn.settimeout(None)
+        # A binary-wire job ends with a small wire_ack write, and the
+        # next job frame follows it; with Nagle on, that frame waits for
+        # the daemon's delayed ACK (~40 ms on Linux) before it leaves.
+        self._conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         send_frame(
             self._conn,
             {

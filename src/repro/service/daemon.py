@@ -1,15 +1,15 @@
 """The always-on sweep daemon: many clients, one shared worker fleet.
 
-:class:`SweepService` is an asyncio rewrite of the distributed backend's
-one-shot coordinator.  It binds once, spawns (and accepts) synchronous
-socket workers, and then serves **jobs** -- each a list of sweep-cell
-payloads submitted by a client over the same length-prefixed frame
-protocol the workers speak.  Per connection:
+:class:`SweepService` is the repo's one worker coordinator.  It binds
+once, spawns (and accepts) synchronous socket workers, and then serves
+**jobs** -- each a list of sweep-cell payloads submitted by a client over
+the same length-prefixed frame protocol (:mod:`repro.service.protocol`)
+the workers speak.  Per connection:
 
-* worker handshake and batch/result/error frames are unchanged from
-  :mod:`repro.experiments.backends.distributed`, so ``python -m repro
-  worker`` processes join the daemon without modification (one wire
-  format, two transports);
+* workers open with a ``hello`` frame (schema, protocol version, wire
+  capabilities), are welcomed with the fingerprints known so far, and
+  then serve batch/result/error frames -- ``python -m repro worker``
+  processes on any host join the fleet by dialing the daemon's address;
 * clients identify themselves with ``"role": "client"`` in the ``hello``
   frame, then send ``job`` frames and receive streamed ``cell_result``
   frames as cells complete plus a terminal ``job_done`` (or
@@ -33,10 +33,15 @@ a failed job that were already scheduled run to completion -- their
 records still feed the store and any cross-job subscribers, which keeps
 the failure path simple and the store monotone.
 
-Failure handling mirrors the distributed backend: a worker lost mid-batch
-has its batch requeued at the *front* of its job (deterministic
-reassignment), ``worker_restarts`` is counted on that job, and a local
-replacement is spawned while the restart budget lasts.
+Failure handling: a worker lost mid-batch has its batch requeued at the
+*front* of its job (deterministic reassignment), ``worker_restarts`` is
+counted on that job, and a local replacement is spawned while the
+restart budget lasts.  When a daemon with a local fleet has spent the
+budget and has no worker left (none live, none of the spawned ones
+still dialing), every accepted job fails with one ``job_failed`` instead
+of waiting forever; the daemon itself keeps serving, and a worker that
+dials in later is put to work.  A coordinator-only daemon (``workers=0``)
+has no fleet to lose: its jobs wait for external workers to dial in.
 
 Graceful drain: SIGTERM/SIGINT (or :meth:`request_drain`) stops intake --
 new jobs are rejected with a ``reject`` frame -- finishes every accepted
@@ -64,11 +69,6 @@ from repro.experiments.backends.base import (
     new_counters,
     plan_batches,
 )
-from repro.experiments.backends.distributed import (
-    HANDSHAKE_TIMEOUT,
-    PROTOCOL_VERSION,
-    result_records,
-)
 from repro.service import wire
 from repro.service.frames import (
     BATCH,
@@ -92,7 +92,13 @@ from repro.service.frames import (
     WELCOME,
     WIRE_ACK,
 )
-from repro.service.protocol import read_frame, write_frame
+from repro.service.protocol import (
+    HANDSHAKE_TIMEOUT,
+    PROTOCOL_VERSION,
+    read_frame,
+    result_records,
+    write_frame,
+)
 from repro.service.scheduler import FairScheduler
 from repro.service.store import RecordStore
 from repro.util.validation import ReproError
@@ -161,7 +167,8 @@ class SweepService:
         from :attr:`address` once started).
     workers:
         Local synchronous worker processes to spawn (external workers
-        that dial in join the same fleet).  ``0`` is coordinator-only.
+        that dial in join the same fleet).  ``0`` is coordinator-only:
+        jobs wait for external workers to dial in.
     cache_dir:
         Root of the network-served record store (``None`` disables the
         shared cache; jobs are still deduplicated in flight).
@@ -169,7 +176,9 @@ class SweepService:
         Deficit-round-robin refill per scheduler visit, in cells.
     max_restarts:
         Replacement workers spawned over the daemon's lifetime after
-        worker deaths (default: the worker count).
+        worker deaths (default: the worker count).  With a local fleet,
+        losing every worker once the budget is spent fails the accepted
+        jobs rather than leaving them to wait.
     worker_specs:
         Tests only -- kwargs per spawned local worker (e.g.
         ``{"fail_after": 0}`` to crash it on its first batch).
@@ -222,6 +231,8 @@ class SweepService:
         self._next_job = 0
         self._next_token = 0
         self._restarts_used = 0
+        #: local workers spawned whose hello has not arrived yet
+        self._dialing = 0
         self._draining = False
         self._stopped: Optional[asyncio.Event] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -297,6 +308,7 @@ class SweepService:
         )
         process.start()
         self._processes.append(process)
+        self._dialing += 1
 
     def _join_workers(self) -> None:
         for process in self._processes:
@@ -358,6 +370,9 @@ class SweepService:
         peer.wire = wire.negotiate_wire(self.wire_binary, hello.get("wire"))
         self._next_peer += 1
         if role == "worker":
+            # A hello settles one spawned-but-dialing slot (local and
+            # external hellos look alike, so the count is a lower bound).
+            self._dialing = max(0, self._dialing - 1)
             if self._draining:
                 try:
                     await write_frame(writer, {"type": SHUTDOWN})
@@ -791,6 +806,25 @@ class SweepService:
             ):
                 self._restarts_used += 1
                 self._spawn_worker({})
+        spent = self._restarts_used >= self.max_restarts
+        if (
+            self.n_workers
+            and not self._live
+            and not self._dialing
+            and (spent or self._draining)
+        ):
+            # No local worker is left, on its way, or still spawnable (a
+            # draining daemon turns new workers away): nothing will run
+            # the queued batches, so fail the waiting jobs now.  A worker
+            # that dials in later is still welcomed and served.
+            reason = (
+                f"the restart budget ({self.max_restarts}) is spent"
+                if spent else "the service is draining"
+            )
+            for job in list(self._jobs.values()):
+                await self._fail_job(
+                    job, f"sweep service lost every worker and {reason}"
+                )
         await self._dispatch()
 
     # ----------------------------------------------------------- cache frames

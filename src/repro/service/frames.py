@@ -2,13 +2,12 @@
 
 Every length-prefixed JSON frame this repo puts on a socket carries a
 ``"type"`` field.  Those type strings used to be scattered as literals
-across the four protocol endpoints (the distributed coordinator, the
-socket worker, the service daemon and the service client); this module
-names each one exactly once and declares, per directed channel, which
-endpoint sends what.  Three consumers import it:
+across the three protocol endpoints (the service daemon, the socket
+worker and the service client); this module names each one exactly once
+and declares, per directed channel, which endpoint sends what.  Three
+consumers import it:
 
 * the runtime dispatch code in
-  :mod:`repro.experiments.backends.distributed`,
   :mod:`repro.experiments.backends.worker`,
   :mod:`repro.service.daemon` and :mod:`repro.service.client`;
 * the static frame-protocol conformance checker
@@ -37,15 +36,15 @@ WELCOME = "welcome"
 #: Handshake or job refused; carries a human-readable ``reason``.
 REJECT = "reject"
 
-#: Coordinator/daemon -> worker: one batch of sweep-cell payloads.
+#: Daemon -> worker: one batch of sweep-cell payloads.
 BATCH = "batch"
-#: Worker -> coordinator/daemon: the records of one finished batch.
+#: Worker -> daemon: the records of one finished batch.
 RESULT = "result"
 #: Either direction: something went wrong with one frame/batch.
 ERROR = "error"
-#: Coordinator/daemon -> worker: stop serving and exit cleanly.
+#: Daemon -> worker: stop serving and exit cleanly.
 SHUTDOWN = "shutdown"
-#: Worker/client -> coordinator/daemon: clean goodbye before closing.
+#: Worker/client -> daemon: clean goodbye before closing.
 GOODBYE = "goodbye"
 
 #: Client -> daemon: submit a job (a list of sweep-cell payloads).
@@ -107,7 +106,6 @@ class Channel:
 #: conformance checker extracts sent/handled frame types from exactly
 #: these modules; anything else touching the codec is a transport shim.
 ENDPOINT_PATHS: Dict[str, Tuple[str, ...]] = {
-    "coordinator": ("experiments/backends/distributed.py",),
     "worker": ("experiments/backends/worker.py",),
     "daemon": ("service/daemon.py",),
     "client": (
@@ -120,14 +118,6 @@ ENDPOINT_PATHS: Dict[str, Tuple[str, ...]] = {
 #: but that no channel declares -- or a declared type the peer does not
 #: dispatch on -- is a conformance finding.
 CHANNELS: Tuple[Channel, ...] = (
-    Channel(
-        "coordinator", "worker",
-        frozenset({WELCOME, REJECT, BATCH, SHUTDOWN}),
-    ),
-    Channel(
-        "worker", "coordinator",
-        frozenset({HELLO, RESULT, ERROR, GOODBYE}),
-    ),
     Channel(
         "daemon", "worker",
         frozenset({WELCOME, REJECT, BATCH, SHUTDOWN}),

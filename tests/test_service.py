@@ -13,11 +13,6 @@ import pytest
 
 from repro.experiments import engine as engine_module
 from repro.experiments.backends import resolve_backend
-from repro.experiments.backends.distributed import (
-    PROTOCOL_VERSION,
-    recv_frame,
-    send_frame,
-)
 from repro.experiments.backends.service import ServiceBackend
 from repro.experiments.backends.worker import (
     RECONNECT_BASE,
@@ -33,6 +28,7 @@ from repro.service import (
     ServiceClient,
     start_service_thread,
 )
+from repro.service.protocol import PROTOCOL_VERSION, recv_frame, send_frame
 from repro.util.validation import ReproError
 
 FAST = {"frames": 2, "scale": 0.4}
@@ -459,6 +455,18 @@ class TestServiceBackend:
         assert payload["jobs_completed"] == 1
         assert payload["remote_cache_hits"] == 0
         assert payload["frames_sent"] > 0
+
+    def test_client_disables_nagle(self):
+        # A binary-wire job ends with a small wire_ack; with Nagle on,
+        # the next job frame on the connection waits for a delayed ACK.
+        handle = start_service_thread(workers=0)
+        try:
+            with ServiceClient(handle.coordinator) as client:
+                assert client._conn.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+        finally:
+            assert handle.stop()
 
     def test_connected_mode_uses_running_daemon(self, tmp_path):
         cells = make_cells(budgets=((1, 1),), seeds=(0,))

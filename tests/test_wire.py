@@ -21,18 +21,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments import engine as engine_module
-from repro.experiments.backends.distributed import (
-    PROTOCOL_VERSION,
-    encode_frame,
-    recv_frame,
-    send_frame,
-)
 from repro.experiments.backends.worker import worker_loop
 from repro.experiments.engine import SweepCell, SweepEngine, clear_build_memo
 from repro.service import wire
 from repro.service.client import ServiceClient
 from repro.service.daemon import start_service_thread
 from repro.service.frames import BATCH, GOODBYE, RESULT, SHUTDOWN, WELCOME
+from repro.service.protocol import (
+    PROTOCOL_VERSION,
+    encode_frame,
+    recv_frame,
+    send_frame,
+)
 from repro.util.validation import ReproError
 
 FAST = {"frames": 2, "scale": 0.4}
